@@ -221,7 +221,10 @@ def cmd_inspect(args) -> int:
         sidecar = Path(str(args.model) + ".json")
         if not sidecar.exists():
             raise FileFormatError(f"model sidecar {sidecar} is missing")
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FileFormatError(f"model sidecar {sidecar} is not valid JSON: {e}") from e
         print(f"model: {args.model}")
         for key in sorted(meta):
             print(f"{key}: {canonical_json(meta[key])}")

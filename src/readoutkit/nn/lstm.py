@@ -10,6 +10,19 @@ ordered input, forget, cell, output:
 
 Initial hidden and cell states are zero.  Classification logits are a linear
 map of the final hidden state, bias-free by default.
+
+The forward pass evaluates all four gate blocks with one ``tanh`` per step,
+written in place into the gate cache.  It relies on the identity that
+``activations.sigmoid`` computes, ``sigmoid(z) = 0.5 * (tanh(0.5 * z) + 1)``:
+the i, f and o columns of ``Wx``, ``Wh`` and ``b`` are halved once per call,
+so ``tanh`` sees ``0.5 * z`` for those blocks, and a per-column offset (1 or
+0) and scale (0.5 or 1) then finish the three sigmoids and leave the cell
+block as plain ``tanh(z)``.  Halving is a power-of-two scale, so every
+product and partial sum comes out exactly half as large and the matmul
+rounds identically; the remaining operations run in the same order as
+``activations.sigmoid``.  The gates, and so the logits, caches and
+gradients, are bit-identical to evaluating each block on its own, except
+where a halved value would fall into the subnormal range.
 """
 
 from __future__ import annotations
@@ -50,29 +63,33 @@ class _Layer:
     def forward(self, x: np.ndarray):
         T, N, _ = x.shape
         h = self.hidden_dim
-        # input projections for every timestep in one matmul
-        zx = (x.reshape(T * N, -1) @ self.Wx).reshape(T, N, 4 * h) + self.b
-        gates = np.empty((T, N, 4 * h))
+        # one tanh covers all four gate blocks; the module docstring says why
+        # the result is exact
+        scale = np.full(4 * h, 0.5)
+        scale[2 * h : 3 * h] = 1.0
+        offset = np.ones(4 * h)
+        offset[2 * h : 3 * h] = 0.0
+        Wh = self.Wh * scale
+        # input projections for every timestep in one matmul; each step's
+        # gates are then computed in place over its own slice
+        gates = (x.reshape(T * N, -1) @ (self.Wx * scale)).reshape(T, N, 4 * h)
+        gates += self.b * scale
         cs = np.empty((T, N, h))
         tanh_cs = np.empty((T, N, h))
         hs = np.empty((T, N, h))
-        h_t = np.zeros((N, h))
-        c_t = np.zeros((N, h))
+        z = np.empty((N, 4 * h))
+        ig = np.empty((N, h))
+        h_t = c_t = np.zeros((N, h))
         for t in range(T):
-            z = zx[t] + h_t @ self.Wh
-            zi, zf, zg, zo = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
-            gi, gf, go = sigmoid(zi), sigmoid(zf), sigmoid(zo)
-            gg = np.tanh(zg)
-            c_t = gf * c_t + gi * gg
-            tc = np.tanh(c_t)
-            h_t = go * tc
-            gates[t, :, :h] = gi
-            gates[t, :, h : 2 * h] = gf
-            gates[t, :, 2 * h : 3 * h] = gg
-            gates[t, :, 3 * h :] = go
-            cs[t] = c_t
-            tanh_cs[t] = tc
-            hs[t] = h_t
+            g = gates[t]
+            np.matmul(h_t, Wh, out=z)
+            g += z
+            np.tanh(g, out=g)
+            g += offset
+            g *= scale
+            c_t = np.multiply(g[:, h : 2 * h], c_t, out=cs[t])
+            c_t += np.multiply(g[:, :h], g[:, 2 * h : 3 * h], out=ig)
+            h_t = np.multiply(g[:, 3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=hs[t])
         cache = (x, gates, cs, tanh_cs, hs)
         return hs, cache
 

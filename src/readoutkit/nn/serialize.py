@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..dataio import canonical_json
 from ..errors import FileFormatError
 from .dense import DenseNetwork
 from .lstm import LstmNetwork
@@ -30,14 +31,10 @@ MODEL_VERSION = 1
 _HEAD = struct.Struct("<12sII")
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
     path = Path(path)
     arch = model.arch()
-    arch_bytes = _canonical(arch).encode()
+    arch_bytes = canonical_json(arch).encode()
     params = model.param_arrays()
     count = sum(p.size for p in params)
     with open(path, "wb") as f:
@@ -49,7 +46,7 @@ def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
     meta = {"architecture": arch, "param_count": count}
     if extra_meta:
         meta.update(extra_meta)
-    Path(str(path) + ".json").write_text(_canonical(meta) + "\n")
+    Path(str(path) + ".json").write_text(canonical_json(meta) + "\n")
 
 
 def load_model(path: str | Path):

@@ -11,10 +11,6 @@ from .loss import weighted_cross_entropy
 from .optim import Adam, TrainConfig, lr_at
 
 
-def _take(X: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
-    return np.take(X, idx, axis=axis)
-
-
 def train(
     model,
     X: np.ndarray,
@@ -55,7 +51,7 @@ def train(
         weight_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb = _take(X, idx, model.batch_axis)
+            xb = np.take(X, idx, axis=model.batch_axis)
             yb = labels[idx]
             wb = weights[idx]
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import ConfigurationError, IncompatibilityError
+from .errors import ConfigurationError, DataError, FileFormatError, IncompatibilityError
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
 from .nn.lstm import LstmNetwork
@@ -250,6 +250,9 @@ class TrainedPipeline:
             raise IncompatibilityError(
                 f"pipeline was trained on {self.input_length}-sample shots, got {n}"
             )
+        for k, shot in enumerate(shots):
+            if not np.isfinite(shot.samples).all():
+                raise DataError(f"shot {k} has non-finite samples and cannot be classified")
 
     def predict(self, shots: list[RawShot]) -> np.ndarray:
         self._check_shots(shots)
@@ -280,7 +283,10 @@ class TrainedPipeline:
         sidecar = Path(str(path) + ".json")
         if not sidecar.exists():
             raise ConfigurationError(f"pipeline sidecar {sidecar} is missing")
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FileFormatError(f"pipeline sidecar {sidecar} is not valid JSON: {e}") from e
         if "pipeline" not in meta:
             raise ConfigurationError(f"{sidecar} has no pipeline descriptor")
         desc = normalize_descriptor(meta["pipeline"])

@@ -2,7 +2,8 @@
 
 Each check appends one PASS/FAIL line to the summary echoed at the end of
 the pytest run.  The benchmark checks (a05-a07) generate datasets at full
-scale and dominate the suite's runtime.
+scale and dominate the suite's runtime; they carry the ``slow`` marker, so
+``pytest -m "not slow"`` runs every other check in seconds.
 """
 
 import json
@@ -182,6 +183,7 @@ def test_a04_filter_oracle(acceptance_log):
     assert round_err < 1e-10
 
 
+@pytest.mark.slow
 def test_a05_easy_data_sanity(acceptance_log):
     """Both classifiers reach 0.999 fidelity on separable, decay-free data."""
     cfg = rk.easy_config(seed=7)
@@ -246,6 +248,7 @@ def benchmark_runs():
     return {"runs": runs, "elapsed": time.perf_counter() - t0}
 
 
+@pytest.mark.slow
 def test_a06_headline_benchmark(acceptance_log, benchmark_runs):
     """Integration baseline lands in its band; the sequence model beats it."""
     runs = benchmark_runs["runs"]
@@ -272,6 +275,7 @@ def test_a06_headline_benchmark(acceptance_log, benchmark_runs):
     assert elapsed <= 1800.0
 
 
+@pytest.mark.slow
 def test_a07_disagreement_attribution(acceptance_log, benchmark_runs):
     """Most shots only the sequence model gets right contain a transition."""
     runs = benchmark_runs["runs"]

@@ -221,6 +221,46 @@ def test_unreadable_files_exit_4(workdir, capsys):
     assert "file error:" in capsys.readouterr().err
 
 
+def test_corrupt_model_sidecar_exits_4(workdir, capsys):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    (workdir / "gmm.rkm.json").write_text('{"architecture": ')
+    capsys.readouterr()
+    rc = main(["inspect", "--model", str(model)])
+    assert rc == 4
+    assert "not valid JSON" in capsys.readouterr().err
+    rc = main(["evaluate", "--model", str(model), "--data", str(data)])
+    assert rc == 4
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_non_finite_shots(workdir, capsys):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    shots = []
+    for k in range(30):
+        samples = np.zeros(400, dtype=np.float32)
+        samples[k] = np.nan
+        shots.append(
+            RawShot(
+                samples=samples,
+                label=k % 3,
+                herald_pass=True,
+                true_path=None,
+                shot_id=k,
+                sample_rate=2.0,
+            )
+        )
+    bad = workdir / "nan.rkd"
+    save_dataset(Dataset(shots=shots, config=None), bad)
+    capsys.readouterr()
+    rc = main(["evaluate", "--model", str(model), "--data", str(bad)])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_training_exits_3(workdir, capsys):
     shots = []

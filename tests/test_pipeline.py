@@ -3,6 +3,8 @@ import pytest
 
 from readoutkit import (
     ConfigurationError,
+    DataError,
+    FileFormatError,
     GmmClassifier,
     IncompatibilityError,
     IqPoint,
@@ -222,6 +224,38 @@ def test_pipeline_rejects_wrong_trace_length(quiet_dataset, decaying_dataset):
     bad = dataclasses.replace(short, samples=short.samples[:-10])
     with pytest.raises(IncompatibilityError):
         fitted.predict([bad])
+
+
+@pytest.mark.parametrize("name", ["gmm", "bandpass_lstm", "signature_dense"])
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_pipeline_refuses_non_finite_shots(quiet_dataset, name, bad_value):
+    import dataclasses
+
+    desc = standard_pipelines(bin_size=40)[name]
+    if name != "gmm":
+        desc["train"] = {"epochs": 1, "seed": 0}
+    fitted = train_pipeline(quiet_dataset, desc)
+    good = quiet_dataset.shots[0]
+    samples = good.samples.copy()
+    samples[17] = bad_value
+    bad = dataclasses.replace(good, samples=samples)
+    with pytest.raises(DataError, match="shot 1 "):
+        fitted.predict([good, bad])
+    with pytest.raises(DataError):
+        fitted.predict_proba([bad, good])
+    with pytest.raises(DataError):
+        fitted.predict_one(bad)
+    assert fitted.predict_one(good) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00garbage"])
+def test_pipeline_load_rejects_corrupt_sidecar(tmp_path, quiet_dataset, content):
+    fitted = train_pipeline(quiet_dataset, standard_pipelines()["gmm"])
+    path = tmp_path / "gmm.rkm"
+    fitted.save(path)
+    (tmp_path / "gmm.rkm.json").write_bytes(content)
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        TrainedPipeline.load(path)
 
 
 def test_integrated_points_shape(quiet_dataset):
