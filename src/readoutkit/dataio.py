@@ -75,8 +75,11 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
     """Read a binary shot file; optionally rebuild ground-truth paths.
 
-    ``regenerate=True`` requires the sidecar, replays the generator's path
-    draws from the stored config, and attaches the true path to each shot.
+    The v1 format stores no shot ids, so shots are numbered by row.
+    ``regenerate=True`` requires the sidecar and replays the generator's
+    scan from the stored config: the first shot of each state must match
+    its re-rendered trace byte for byte (``DataError`` otherwise), and every
+    shot gets its true path and its generated ``shot_id`` back.
     """
     path = Path(path)
     try:
@@ -125,11 +128,10 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
             raise DataError("path regeneration needs the JSON sidecar with a config")
         if count % 3 != 0:
             raise DataError("regeneration expects a balanced dataset")
-        paths = regenerate_paths(config, count // 3)
-        for shot, p in zip(shots, paths):
-            if p.initial_state != shot.label:
-                raise DataError("sidecar config does not reproduce this dataset")
-            shot.true_path = p
+        try:
+            regenerate_paths(config, count // 3, shots=shots)
+        except DataError as e:
+            raise DataError(f"sidecar {sc}: {e}") from e
 
     return Dataset(shots=shots, config=config)
 

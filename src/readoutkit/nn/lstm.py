@@ -93,7 +93,8 @@ class _Layer:
         cache = (x, gates, cs, tanh_cs, hs)
         return hs, cache
 
-    def backward(self, cache, dh_seq: np.ndarray):
+    def backward(self, cache, dh_seq: np.ndarray, input_grad: bool = True):
+        """``(dx, (dWx, dWh, db))``; ``dx`` is ``None`` unless ``input_grad``."""
         x, gates, cs, tanh_cs, hs = cache
         T, N, _ = x.shape
         h = self.hidden_dim
@@ -124,7 +125,7 @@ class _Layer:
         dWx = x.reshape(T * N, -1).T @ dz_flat
         dWh = hs[:-1].reshape((T - 1) * N, h).T @ dzs[1:].reshape((T - 1) * N, 4 * h)
         db = dz_flat.sum(axis=0)
-        dx = (dz_flat @ self.Wx.T).reshape(x.shape)
+        dx = (dz_flat @ self.Wx.T).reshape(x.shape) if input_grad else None
         return dx, (dWx, dWh, db)
 
 
@@ -226,8 +227,9 @@ class LstmNetwork:
         dh_seq = np.zeros((T, N, self.hidden[-1]))
         dh_seq[-1] = dlogits @ self.W_out.T
         layer_grads = []
-        for layer, lcache in zip(reversed(self.layers), reversed(caches)):
-            dh_seq, grads = layer.backward(lcache, dh_seq)
+        for i in reversed(range(len(self.layers))):
+            # the bottom layer's input gradient would be the data's: unused
+            dh_seq, grads = self.layers[i].backward(caches[i], dh_seq, input_grad=i > 0)
             layer_grads.append(grads)
         layer_grads.reverse()
 

@@ -25,6 +25,7 @@ final stage, required by and exclusive to the ``gmm`` model.
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -277,20 +278,32 @@ class TrainedPipeline:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedPipeline":
-        import json
-
         model = load_model(path)
         sidecar = Path(str(path) + ".json")
         if not sidecar.exists():
             raise ConfigurationError(f"pipeline sidecar {sidecar} is missing")
-        try:
-            meta = json.loads(sidecar.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FileFormatError(f"pipeline sidecar {sidecar} is not valid JSON: {e}") from e
+        meta = read_model_sidecar(sidecar)
         if "pipeline" not in meta:
             raise ConfigurationError(f"{sidecar} has no pipeline descriptor")
         desc = normalize_descriptor(meta["pipeline"])
-        return cls(descriptor=desc, model=model, input_length=int(meta["input_length"]))
+        try:
+            input_length = int(meta["input_length"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise FileFormatError(f"{sidecar} has no valid input_length") from e
+        return cls(descriptor=desc, model=model, input_length=input_length)
+
+
+def read_model_sidecar(sidecar: Path) -> dict:
+    """The JSON object in a model sidecar; ``FileFormatError`` if the file
+    is not UTF-8 JSON or holds anything but an object."""
+    try:
+        meta = json.loads(sidecar.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FileFormatError(f"model sidecar {sidecar} is not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        kind = type(meta).__name__
+        raise FileFormatError(f"model sidecar {sidecar} holds a JSON {kind}, not an object")
+    return meta
 
 
 def train_pipeline(

@@ -6,15 +6,23 @@ excitation), a first-order resonator envelope that rings toward the current
 state's amplitude/phase target, an intermediate-frequency carrier, additive
 white Gaussian ADC noise, and optional phase diffusion.
 
-Every shot owns an independent random stream derived from ``(seed, shot_id)``
-so serial and parallel generation produce bit-identical datasets.
+Every attempt owns an independent random stream derived from
+``(seed, attempt_id)``, and a retained shot keeps its attempt id as
+``shot_id``.  Within a stream the draw order is fixed: the state path, the
+herald bit, then (when enabled) the phase-noise steps and the ADC noise.
+Generation makes one pass over the attempts: each stream is seeded once,
+its path and herald bit are drawn, and a retained shot is rendered from the
+same stream, continuing after the herald draw.  The carrier (without phase
+noise), the state targets and the resonator ring-up from an empty cavity
+are tabulated once per call and sliced for each shot.  Path regeneration
+replays the same scan and renders nothing, so the same ``(cfg,
+shots_per_state)`` always yields the same bytes and the same paths.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,6 +241,88 @@ def sample_state_path(prepared: int, cfg: SimConfig, rng: np.random.Generator) -
     return StatePath(tuple(segments))
 
 
+class _Renderer:
+    """Tables for rendering paths of one config into ``n``-sample traces.
+
+    Built once per call and shared by its shots: the state targets, the
+    carrier phase, the carrier itself (only without phase noise), and each
+    state's ring-up from an empty resonator at t = 0, which is the first
+    segment of every path.  Each table holds exactly the values the
+    per-shot formulas give (``0j - target`` is ``e - target`` at e = 0), so
+    traces do not depend on whether a table was reused.
+    """
+
+    def __init__(self, cfg: SimConfig, n: int | None = None):
+        self.cfg = cfg
+        self.n = cfg.n_samples if n is None else n
+        self.targets = np.array(
+            [amp * np.exp(1j * phase) for amp, phase in cfg.state_envelopes], dtype=complex
+        )
+        self.phase = 2.0 * np.pi * cfg.f_if * (np.arange(self.n) * cfg.dt)
+        self.carrier = np.exp(1j * self.phase) if cfg.phase_noise_sigma == 0.0 else None
+        if cfg.ring_time > 0.0:
+            decay = np.exp(-(np.arange(self.n) * cfg.dt) / cfg.ring_time)
+            self.ring_up = [target + (0j - target) * decay for target in self.targets]
+        # noiseless trace of each single-segment path seen so far
+        self._clean: dict[tuple, np.ndarray] = {}
+
+    def envelope(self, path: StatePath) -> np.ndarray:
+        cfg, n, dt = self.cfg, self.n, self.cfg.dt
+        env = np.empty(n, dtype=complex)
+        if cfg.ring_time == 0.0:
+            for state, start, end in path.segments:
+                lo = int(math.ceil(start / dt - 1e-12))
+                hi = min(int(math.ceil(end / dt - 1e-12)), n)
+                env[lo:hi] = self.targets[state]
+            return env
+
+        e = 0.0 + 0.0j
+        t_prev = 0.0
+        for k, (state, start, end) in enumerate(path.segments):
+            target = self.targets[state]
+            lo = int(math.ceil(start / dt - 1e-12))
+            hi = min(int(math.ceil(end / dt - 1e-12)), n)
+            if lo < hi:
+                if k == 0 and lo == 0:
+                    env[:hi] = self.ring_up[state][:hi]
+                else:
+                    times = np.arange(lo, hi) * dt
+                    decay = np.exp(-(times - t_prev) / cfg.ring_time)
+                    env[lo:hi] = target + (e - target) * decay
+            # carry the envelope value forward to the segment end
+            e = target + (e - target) * math.exp(-(end - t_prev) / cfg.ring_time)
+            t_prev = end
+        return env
+
+    def samples(self, path: StatePath, rng: np.random.Generator) -> np.ndarray:
+        """float32 trace of ``path``; ``rng`` continues after the herald draw."""
+        cfg, n = self.cfg, self.n
+        if self.carrier is not None:
+            clean = self._clean.get(path.segments)
+            if clean is None:
+                clean = np.ascontiguousarray(np.real(self.envelope(path) * self.carrier))
+                if len(path.segments) == 1:
+                    self._clean[path.segments] = clean
+        else:
+            steps = rng.normal(0.0, cfg.phase_noise_sigma * math.sqrt(cfg.dt), n)
+            clean = np.real(self.envelope(path) * np.exp(1j * (self.phase + np.cumsum(steps))))
+        if cfg.noise_sigma > 0.0:
+            clean = clean + rng.normal(0.0, cfg.noise_sigma, n)
+        return clean.astype(np.float32)
+
+    def shot(
+        self, path: StatePath, rng: np.random.Generator, herald_pass: bool, shot_id: int
+    ) -> RawShot:
+        return RawShot(
+            samples=self.samples(path, rng),
+            label=path.initial_state,
+            herald_pass=herald_pass,
+            true_path=path,
+            shot_id=shot_id,
+            sample_rate=self.cfg.sample_rate,
+        )
+
+
 def _envelope(path: StatePath, cfg: SimConfig, n: int) -> np.ndarray:
     """Complex resonator envelope at the n sample times.
 
@@ -240,37 +330,7 @@ def _envelope(path: StatePath, cfg: SimConfig, n: int) -> np.ndarray:
     constant ``ring_time``, integrated exactly over each constant-state
     stretch; the resonator starts empty (e = 0 at t = 0).
     """
-    dt = cfg.dt
-    targets = np.array(
-        [amp * np.exp(1j * phase) for amp, phase in cfg.state_envelopes], dtype=complex
-    )
-    env = np.empty(n, dtype=complex)
-    if cfg.ring_time == 0.0:
-        for state, start, end in path.segments:
-            lo = int(math.ceil(start / dt - 1e-12))
-            hi = min(int(math.ceil(end / dt - 1e-12)), n)
-            env[lo:hi] = targets[state]
-        return env
-
-    e = 0.0 + 0.0j
-    t_prev = 0.0
-    for state, start, end in path.segments:
-        target = targets[state]
-        # advance the envelope from t_prev to the segment start (no-op when
-        # equal; only happens for the first segment where start == 0)
-        lo = int(math.ceil(start / dt - 1e-12))
-        hi = min(int(math.ceil(end / dt - 1e-12)), n)
-        if lo < hi:
-            times = np.arange(lo, hi) * dt
-            decay = np.exp(-(times - t_prev) / cfg.ring_time)
-            env[lo:hi] = target + (e - target) * decay
-            # carry the envelope value forward to the segment end
-            e = target + (e - target) * math.exp(-(end - t_prev) / cfg.ring_time)
-            t_prev = end
-        else:
-            e = target + (e - target) * math.exp(-(end - t_prev) / cfg.ring_time)
-            t_prev = end
-    return env
+    return _Renderer(cfg, n).envelope(path)
 
 
 def synthesize_shot(
@@ -281,39 +341,25 @@ def synthesize_shot(
 ) -> RawShot:
     """Render a state path into a digitized trace.
 
-    Draw order within the shot's stream is fixed (herald flag, phase noise,
-    ADC noise) so that path regeneration can stop early.
+    ``rng`` must sit right after the path draws.  The shot then takes, in
+    this order, the herald draw, the phase-noise steps (if
+    ``phase_noise_sigma > 0``) and the ADC noise (if ``noise_sigma > 0``):
+    the stream layout ``generate_dataset`` uses, so a shot rendered here from
+    ``shot_rng(cfg.seed, shot_id)`` and its path equals the dataset's shot.
     """
-    n = cfg.n_samples
     herald_pass = bool(rng.random() >= cfg.herald_error)
-
-    env = _envelope(path, cfg, n)
-    t = np.arange(n) * cfg.dt
-    phase = 2.0 * np.pi * cfg.f_if * t
-    if cfg.phase_noise_sigma > 0.0:
-        steps = rng.normal(0.0, cfg.phase_noise_sigma * math.sqrt(cfg.dt), n)
-        phase = phase + np.cumsum(steps)
-    samples = np.real(env * np.exp(1j * phase))
-    if cfg.noise_sigma > 0.0:
-        samples = samples + rng.normal(0.0, cfg.noise_sigma, n)
-
-    return RawShot(
-        samples=samples.astype(np.float32),
-        label=path.initial_state,
-        herald_pass=herald_pass,
-        true_path=path,
-        shot_id=shot_id,
-        sample_rate=cfg.sample_rate,
-    )
+    return _Renderer(cfg).shot(path, rng, herald_pass, shot_id)
 
 
-def _retained_attempts(cfg: SimConfig, shots_per_state: int) -> list[tuple[int, int]]:
-    """(attempt_id, prepared_state) for every retained shot, in dataset order.
+def _scan(cfg: SimConfig, shots_per_state: int):
+    """Yield ``(attempt_id, path, rng)`` for every retained shot, lazily and
+    in dataset order; ``rng`` is the attempt's stream, right after the
+    herald draw.
 
-    Scans attempt ids in order per state, drawing only the cheap path and
-    herald values, until enough heralded shots are collected.
+    Scans attempt ids in order per state until enough heralded shots are
+    collected.  Only the current attempt's stream is held here, so a
+    consumer that keeps no ``rng`` keeps no generator per shot.
     """
-    out = []
     attempt = 0
     for state in STATES:
         kept = 0
@@ -323,26 +369,19 @@ def _retained_attempts(cfg: SimConfig, shots_per_state: int) -> list[tuple[int, 
             if attempt >= limit:
                 raise DataError("herald rejection rate too high to fill the dataset")
             rng = shot_rng(cfg.seed, attempt)
-            sample_state_path(state, cfg, rng)
+            path = sample_state_path(state, cfg, rng)
             if rng.random() >= cfg.herald_error:
-                out.append((attempt, state))
+                yield attempt, path, rng
                 kept += 1
             attempt += 1
-    return out
 
 
-def _materialize_shot(cfg: SimConfig, attempt: int, state: int) -> RawShot:
-    rng = shot_rng(cfg.seed, attempt)
-    path = sample_state_path(state, cfg, rng)
-    return synthesize_shot(path, cfg, rng, shot_id=attempt)
-
-
-def generate_dataset(cfg: SimConfig, shots_per_state: int, threads: int = 1) -> Dataset:
+def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
     """Generate ``shots_per_state`` heralded shots for each of the 3 states.
 
     Shots failing heralding are discarded and replaced, so the retained count
     is exact.  Identical ``(cfg, shots_per_state)`` always yields a
-    bit-identical dataset, regardless of ``threads``.
+    bit-identical dataset.
     """
     if shots_per_state < 1:
         raise ConfigurationError("shots_per_state must be >= 1")
@@ -353,23 +392,45 @@ def generate_dataset(cfg: SimConfig, shots_per_state: int, threads: int = 1) -> 
             f"requested dataset would need ~{est_bytes >> 20} MiB of sample storage"
         )
 
-    retained = _retained_attempts(cfg, shots_per_state)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shots = list(pool.map(lambda it: _materialize_shot(cfg, *it), retained))
-    else:
-        shots = [_materialize_shot(cfg, attempt, state) for attempt, state in retained]
+    render = _Renderer(cfg)
+    shots = [
+        render.shot(path, rng, herald_pass=True, shot_id=attempt)
+        for attempt, path, rng in _scan(cfg, shots_per_state)
+    ]
     return Dataset(shots=shots, config=cfg)
 
 
-def regenerate_paths(cfg: SimConfig, shots_per_state: int) -> list[StatePath]:
+def regenerate_paths(
+    cfg: SimConfig, shots_per_state: int, shots: list[RawShot] | None = None
+) -> list[StatePath]:
     """Reproduce the ground-truth paths of ``generate_dataset`` without
-    synthesizing any samples (used to recover decay attribution for datasets
-    loaded from disk)."""
-    paths = []
-    for attempt, state in _retained_attempts(cfg, shots_per_state):
-        rng = shot_rng(cfg.seed, attempt)
-        paths.append(sample_state_path(state, cfg, rng))
+    synthesizing their samples.
+
+    ``shots``, if given, are the dataset's shots in order (for instance read
+    back from disk), and are checked and restored in place.  Each must carry
+    its path's prepared state as label, and the first shot of each state
+    must equal, float32 byte for byte, the trace re-rendered from the
+    replayed stream; otherwise ``DataError``.  Each shot then gets its true
+    path and its ``shot_id`` (the attempt id) back.
+    """
+    if shots is not None and len(shots) != 3 * shots_per_state:
+        raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")
+    render = _Renderer(cfg)
+    paths, attempts = [], []
+    for k, (attempt, path, rng) in enumerate(_scan(cfg, shots_per_state)):
+        paths.append(path)
+        attempts.append(attempt)
+        if shots is None:
+            continue
+        if shots[k].label != path.initial_state:
+            raise DataError(f"config does not reproduce these shots (label of row {k})")
+        if k % shots_per_state == 0:
+            again = render.samples(path, rng)
+            if again.tobytes() != np.asarray(shots[k].samples, dtype=np.float32).tobytes():
+                raise DataError(f"config does not reproduce these shots (samples of row {k})")
+    for shot, path, attempt in zip(shots or (), paths, attempts):
+        shot.true_path = path
+        shot.shot_id = attempt
     return paths
 
 

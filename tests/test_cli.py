@@ -235,6 +235,43 @@ def test_corrupt_model_sidecar_exits_4(workdir, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inspect", "evaluate"])
+def test_model_sidecar_that_is_not_an_object_exits_4(workdir, capsys, command):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    (workdir / "gmm.rkm.json").write_text("[1, 2]")
+    capsys.readouterr()
+    args = ["--model", str(model)] + (["--data", str(data)] if command == "evaluate" else [])
+    assert main([command, *args]) == 4
+    assert "not an object" in capsys.readouterr().err
+
+
+def test_model_sidecar_without_input_length_exits_4(workdir, capsys):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    sidecar = workdir / "gmm.rkm.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["input_length"]
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "input_length" in capsys.readouterr().err
+
+
+def test_compare_rejects_sidecar_that_does_not_reproduce(workdir, capsys):
+    data = simulate(workdir)
+    sidecar = workdir / "shots.rkd.json"
+    meta = json.loads(sidecar.read_text())
+    meta["config"]["seed"] += 1
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")])
+    assert rc == 2
+    assert "does not reproduce" in capsys.readouterr().err
+
+
 def test_evaluate_refuses_non_finite_shots(workdir, capsys):
     data = simulate(workdir)
     model = workdir / "gmm.rkm"

@@ -89,6 +89,46 @@ def test_load_with_regeneration_restores_paths(tmp_path):
         assert back.true_path.segments == orig.true_path.segments
 
 
+def test_load_with_regeneration_restores_shot_ids(tmp_path):
+    cfg = SimConfig(duration=100.0, t1=(300.0, 250.0), seed=17, herald_error=0.3)
+    ds = generate_dataset(cfg, shots_per_state=20)
+    ids = [s.shot_id for s in ds.shots]
+    assert ids != list(range(len(ids)))  # rejected attempts leave gaps
+    path = tmp_path / "shots.rkd"
+    save_dataset(ds, path)
+    assert [s.shot_id for s in load_dataset(path).shots] == list(range(len(ids)))
+    assert [s.shot_id for s in load_dataset(path, regenerate=True).shots] == ids
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"seed": 12}, {"noise_sigma": 2.5}, {"phase_noise_sigma": 0.01}, {"herald_error": 0.2}],
+)
+def test_regeneration_rejects_sidecar_that_does_not_reproduce(tmp_path, quiet_dataset, edit):
+    path = tmp_path / "shots.rkd"
+    save_dataset(quiet_dataset, path)
+    meta = json.loads(sidecar_path(path).read_text())
+    meta["config"].update(edit)
+    sidecar_path(path).write_text(json.dumps(meta))
+    assert len(load_dataset(path)) == len(quiet_dataset)
+    with pytest.raises(DataError, match="does not reproduce"):
+        load_dataset(path, regenerate=True)
+
+
+def test_regeneration_rejects_edited_samples(tmp_path, quiet_dataset):
+    path = tmp_path / "shots.rkd"
+    save_dataset(quiet_dataset, path)
+    raw = bytearray(path.read_bytes())
+    shot_bytes = 2 + 4 * len(quiet_dataset.shots[0].samples)
+    header = len(raw) - len(quiet_dataset) * shot_bytes
+    # flip the low mantissa bit of the first sample of the first state-1 shot
+    row = len(quiet_dataset) // 3
+    raw[header + row * shot_bytes + 2] ^= 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="samples of row"):
+        load_dataset(path, regenerate=True)
+
+
 def test_regeneration_without_sidecar_raises(tmp_path, quiet_dataset):
     path = tmp_path / "shots.rkd"
     save_dataset(quiet_dataset, path)

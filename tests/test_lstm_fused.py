@@ -103,3 +103,16 @@ def test_fused_forward_leaves_parameters_untouched():
     model.forward(np.random.default_rng(3).normal(size=(20, 5, 2)))
     for p, q in zip(model.param_arrays(), before):
         assert np.array_equal(p, q)
+
+
+def test_bottom_layer_skips_only_the_unused_input_gradient():
+    model = _trained_looking_model((16, 8), "softmax", seed=5)
+    x = np.random.default_rng(5).normal(0.0, 2.0, (30, 9, 2))
+    _, (caches, _, _) = model.forward(x)
+    dh_seq = np.random.default_rng(6).normal(size=(30, 9, 16))
+    layer = model.layers[0]
+    dx, grads = layer.backward(caches[0], dh_seq)
+    skipped, same_grads = layer.backward(caches[0], dh_seq, input_grad=False)
+    assert dx.shape == x.shape and skipped is None
+    for g, h in zip(grads, same_grads, strict=True):
+        assert np.array_equal(g, h)

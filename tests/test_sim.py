@@ -200,14 +200,6 @@ def test_generate_dataset_deterministic():
         assert np.array_equal(sa.samples, sb.samples)
 
 
-def test_generate_dataset_threads_match_serial():
-    cfg = SimConfig(duration=150.0, seed=9, t1=(300.0, 250.0))
-    a = generate_dataset(cfg, shots_per_state=15, threads=1)
-    b = generate_dataset(cfg, shots_per_state=15, threads=4)
-    for sa, sb in zip(a.shots, b.shots):
-        assert np.array_equal(sa.samples, sb.samples)
-
-
 def test_seed_changes_data():
     cfg_a = SimConfig(duration=100.0, seed=1)
     cfg_b = SimConfig(duration=100.0, seed=2)
