@@ -27,7 +27,9 @@ from .dataio import (
     config_hash,
     export_csv,
     load_dataset,
+    read_sidecar,
     save_dataset,
+    sidecar_path,
 )
 from .errors import (
     ConfigurationError,
@@ -219,10 +221,10 @@ def cmd_inspect(args) -> int:
             print(f"config sha256: {config_hash(dataset.config.to_dict())}")
             print(f"config: {canonical_json(dataset.config.to_dict())}")
     else:
-        sidecar = Path(str(args.model) + ".json")
+        sidecar = sidecar_path(args.model)
         if not sidecar.exists():
             raise FileFormatError(f"model sidecar {sidecar} is missing")
-        meta = pl.read_model_sidecar(sidecar)
+        meta = read_sidecar(sidecar, "model")
         print(f"model: {args.model}")
         for key in sorted(meta):
             print(f"{key}: {canonical_json(meta[key])}")

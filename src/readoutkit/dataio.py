@@ -42,7 +42,22 @@ def config_hash(obj) -> str:
 
 
 def sidecar_path(path: str | Path) -> Path:
+    """The JSON sidecar written next to a dataset or model file."""
     return Path(path).with_suffix(Path(path).suffix + ".json")
+
+
+def read_sidecar(sidecar: Path, what: str) -> dict:
+    """The JSON object in a ``what`` (dataset or model) sidecar;
+    ``FileFormatError`` if the file is not UTF-8 JSON or holds anything but
+    an object."""
+    try:
+        meta = json.loads(sidecar.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise FileFormatError(f"{what} sidecar {sidecar} is not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        kind = type(meta).__name__
+        raise FileFormatError(f"{what} sidecar {sidecar} holds a JSON {kind}, not an object")
+    return meta
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -103,9 +118,12 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
     config = None
     sc = sidecar_path(path)
     if sc.exists():
-        meta = json.loads(sc.read_text())
+        meta = read_sidecar(sc, "dataset")
         if "config" in meta:
-            config = SimConfig.from_dict(meta["config"])
+            try:
+                config = SimConfig.from_dict(meta["config"])
+            except (TypeError, ValueError) as e:
+                raise FileFormatError(f"dataset sidecar {sc} has a bad config: {e}") from e
 
     shots = []
     for i in range(count):

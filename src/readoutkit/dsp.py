@@ -3,6 +3,14 @@
 All operations are pure functions over numpy arrays in float64.  Frequencies
 are in cycles per nanosecond and rates in samples per nanosecond throughout,
 matching the simulator.
+
+The brick-wall keep rule lives in :func:`band_bins`, over the bins of the
+real-input DFT (``rfft``).  :func:`bandpass` is the ``irfft`` of the masked
+``rfft``.  A pipeline whose first stage is a bandpass does not call it per
+shot (unless the band is wide and the output long): every later stage is
+linear, so the pipeline evaluates the rest of the chain once per in-band
+basis tone and sums those responses against each shot's in-band ``rfft``
+coefficients (see :mod:`readoutkit.pipeline`).
 """
 
 from __future__ import annotations
@@ -104,6 +112,15 @@ def spectrum(samples: np.ndarray, sample_rate: float) -> Spectrum:
     return Spectrum(freqs=np.fft.rfftfreq(n, d=1.0 / sample_rate), mag=mag)
 
 
+def band_bins(n: int, sample_rate: float, center: float, half_width: float) -> np.ndarray:
+    """Indices of the ``rfft`` bins of an ``n``-sample trace whose frequency
+    lies in ``[center - half_width, center + half_width]``."""
+    if half_width < 0:
+        raise ConfigurationError("half_width must be >= 0")
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    return np.flatnonzero(np.abs(freqs - center) <= half_width)
+
+
 def bandpass(
     samples: np.ndarray,
     sample_rate: float,
@@ -113,16 +130,18 @@ def bandpass(
     """Brick-wall bandpass: zero every DFT bin whose |frequency| falls
     outside ``[center - half_width, center + half_width]``.
 
-    The keep condition depends only on |f|, so conjugate symmetry is
-    preserved and the output is real.
+    The keep condition depends only on |f|, so a bin and its conjugate
+    mirror are kept or dropped together: masking the one-sided ``rfft``
+    with :func:`band_bins` and inverting with ``irfft`` is the same filter
+    as masking the full complex DFT, and the output is real.
     """
-    if half_width < 0:
-        raise ConfigurationError("half_width must be >= 0")
     x = np.asarray(samples, dtype=float)
-    coeffs = forward_fft(x)
-    freqs = np.fft.fftfreq(x.shape[-1], d=1.0 / sample_rate)
-    keep = np.abs(np.abs(freqs) - center) <= half_width
-    return inverse_fft(coeffs * keep)
+    n = x.shape[-1]
+    bins = band_bins(n, sample_rate, center, half_width)
+    coeffs = np.fft.rfft(x, axis=-1)
+    kept = np.zeros_like(coeffs)
+    kept[..., bins] = coeffs[..., bins]
+    return np.fft.irfft(kept, n=n, axis=-1)
 
 
 def bin_average(values: np.ndarray, bin_size: int) -> np.ndarray:

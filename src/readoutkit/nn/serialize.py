@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataio import canonical_json
+from ..dataio import canonical_json, sidecar_path
 from ..errors import FileFormatError
 from .dense import DenseNetwork
 from .lstm import LstmNetwork
@@ -46,7 +46,7 @@ def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
     meta = {"architecture": arch, "param_count": count}
     if extra_meta:
         meta.update(extra_meta)
-    Path(str(path) + ".json").write_text(canonical_json(meta) + "\n")
+    sidecar_path(path).write_text(canonical_json(meta) + "\n")
 
 
 def load_model(path: str | Path):

@@ -9,7 +9,6 @@ segments are stitched with the tensor-product (Chen) rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +142,3 @@ def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
         sig = new
     return np.concatenate(sig, axis=1)
 
-
-def log_signature_norms(sig: SignatureVector) -> np.ndarray:
-    """Per-level Euclidean norms, a cheap scale diagnostic."""
-    return np.array([float(np.sqrt(np.sum(lvl**2))) for lvl in sig.levels])
-
-
-def factorial_decay_bound(displacement: float, order: int) -> float:
-    """Upper bound |level k| <= |path|^k / k! for a straight segment."""
-    return displacement**order / math.factorial(order)

@@ -20,18 +20,35 @@ Descriptor shape::
 Stage rules: exactly one ``demodulate``; ``bandpass`` only before it;
 ``bin`` and ``path_transform`` only after it; ``integrate`` only as the
 final stage, required by and exclusive to the ``gmm`` model.
+
+A stage list that starts with ``bandpass`` runs on its in-band DFT bins:
+one ``rfft`` per trace, a gather of the bins :func:`dsp.band_bins` keeps,
+and a sum of their real and imaginary parts against the response of the
+rest of the list to each bin's basis tone.  The responses come from the
+per-sample code itself, run once on the basis tones and cached per stage
+list, trace length and rate.  Every stage after the bandpass is linear, so
+this is the same map and agrees with the per-sample chain to rounding,
+without the complex FFT pair and the per-sample mixing.  The sum runs in a
+fixed order with elementwise operations, so a shot's output does not
+depend on the batch it is in or on the BLAS thread count.  Where the sum
+would cost more than the per-sample chain (a wide band without binning),
+the per-sample chain runs instead.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp
+from .dataio import read_sidecar, sidecar_path
 from .errors import ConfigurationError, DataError, FileFormatError, IncompatibilityError
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
@@ -46,6 +63,12 @@ STAGE_OPS = ("bandpass", "demodulate", "bin", "path_transform", "integrate")
 MODEL_KINDS = ("gmm", "lstm", "dense")
 WEIGHTING_KINDS = ("uniform", "gmm_confidence")
 CHUNK = 512
+# the bin-domain front end: at most this many multiply-adds per raw sample
+# (it costs as much as the per-sample chain at about 10 on 2000-sample
+# traces and 6 on 400-sample ones; the stock pipelines need 1), and product
+# temporaries of about this many elements
+FOLD_MAX_TERMS = 8
+SUM_BLOCK = 1 << 16
 
 
 def normalize_descriptor(desc: dict) -> dict:
@@ -70,6 +93,8 @@ def normalize_descriptor(desc: dict) -> dict:
 
     demod_seen = 0
     for k, st in enumerate(stages):
+        if not isinstance(st, dict):
+            raise ConfigurationError(f"stage {k} must be a mapping, not {type(st).__name__}")
         op = st.get("op")
         if op not in STAGE_OPS:
             raise ConfigurationError(f"unknown stage op {op!r}")
@@ -78,6 +103,12 @@ def normalize_descriptor(desc: dict) -> dict:
                 raise ConfigurationError("bandpass must come before demodulate")
             if "center" not in st or "half_width" not in st:
                 raise ConfigurationError("bandpass needs 'center' and 'half_width'")
+            for key in ("center", "half_width"):
+                v = st[key]
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    raise ConfigurationError(f"stage {k}: bandpass {key} must be a finite number")
+            if st["half_width"] < 0:
+                raise ConfigurationError(f"stage {k}: bandpass half_width must be >= 0")
         elif op == "demodulate":
             demod_seen += 1
             if "frequency" not in st:
@@ -134,12 +165,30 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]):
 
     Returns ``("traj", (batch, steps, 2) array, out_rate)`` when the chain
     ends in a trajectory, or ``("point", (batch, 2) array, out_rate)`` after
-    an integrate stage.
+    an integrate stage.  A list that starts with ``bandpass`` is evaluated
+    on its in-band DFT bins (:func:`_fold`) unless that costs more than the
+    per-sample chain, which runs every other list.
     """
     x = np.asarray(samples, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
+    fold = None
+    if stages and stages[0]["op"] == "bandpass":
+        key = json.dumps(
+            stages, sort_keys=True, separators=(",", ":"), default=lambda v: np.asarray(v).tolist()
+        )
+        fold = _band_response(key, x.shape[-1], sample_rate)
+    if fold is None:
+        kind, arr, rate = _apply_per_sample(x, sample_rate, stages)
+    else:
+        kind, arr, rate = _fold(x, *fold)
+    if squeeze:
+        arr = arr[0]
+    return kind, arr, rate
+
+
+def _apply_per_sample(x: np.ndarray, sample_rate: float, stages: list[dict]):
     rate = sample_rate
     i = q = None
     kind = "raw"
@@ -166,10 +215,57 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]):
             kind = "point"
     if kind == "raw":
         raise ConfigurationError("stage list never demodulated the trace")
-    arr = np.stack([i, q], axis=-1)
-    if squeeze:
-        arr = arr[0]
-    return kind, arr, rate
+    return kind, np.stack([i, q], axis=-1), rate
+
+
+@functools.lru_cache(maxsize=16)
+def _band_response(stages_json: str, n: int, sample_rate: float):
+    """In-band bins of the leading bandpass and the response of the rest of
+    the stage list to each bin's basis tones ``irfft(e_k)`` and
+    ``irfft(1j * e_k)``, in rows 2j and 2j + 1 for ``k = bins[j]``.
+
+    Returns ``(bins, kind, response, out_rate)``, both arrays read-only,
+    ``response`` shaped ``(2 * len(bins),) + one trace's output shape``; or
+    ``None`` when the per-bin sum would take more than ``FOLD_MAX_TERMS``
+    multiply-adds per raw sample (a wide band without binning), where the
+    per-sample chain is faster.
+    """
+    stages = json.loads(stages_json)
+    bp = stages[0]
+    bins = dsp.band_bins(n, sample_rate, bp["center"], bp["half_width"])
+    _, probe, _ = apply_stages(np.zeros((1, n)), sample_rate, stages[1:])
+    if 2 * len(bins) * probe.size > FOLD_MAX_TERMS * n:
+        return None
+    rows = np.arange(len(bins))
+    unit = np.zeros((2 * len(bins), n // 2 + 1), dtype=complex)
+    unit[2 * rows, bins] = 1.0
+    unit[2 * rows + 1, bins] = 1j
+    tones = np.fft.irfft(unit, n=n, axis=-1)
+    kind, response, rate = apply_stages(tones, sample_rate, stages[1:])
+    bins.flags.writeable = response.flags.writeable = False
+    return bins, kind, response, rate
+
+
+def _fold(x: np.ndarray, bins: np.ndarray, kind: str, response: np.ndarray, rate: float):
+    """The stage list evaluated on the in-band ``rfft`` coefficients.
+
+    The bandpass output is ``sum_k Re X_k * irfft(e_k) + Im X_k *
+    irfft(1j * e_k)`` over the in-band bins k, and every later stage is
+    linear, so the chain's output is the same sum over the responses of the
+    rest of the list to those basis tones.  Each output element is summed
+    over the coefficients in index order by elementwise adds (a reduction
+    over a non-contiguous axis), never by a BLAS product, so a shot's row
+    has the same bytes in any batch and at any thread count.  Blocks of
+    rows keep the product temporary near ``SUM_BLOCK`` elements.
+    """
+    # (batch, 2 * bins) reals: Re X_k, Im X_k per in-band bin, as the rows
+    coeffs = np.ascontiguousarray(np.fft.rfft(x, axis=-1)[:, bins]).view(float)
+    flat = response.reshape(len(response), math.prod(response.shape[1:]))
+    out = np.empty((len(x), flat.shape[1]))
+    step = max(1, SUM_BLOCK // max(flat.size, 1))
+    for r in range(0, len(x), step):
+        out[r : r + step] = (coeffs[r : r + step, :, None] * flat).sum(axis=1)
+    return kind, out.reshape((len(x),) + response.shape[1:]), rate
 
 
 def preprocess_shot(shot: RawShot, stages: list[dict]):
@@ -279,10 +375,10 @@ class TrainedPipeline:
     @classmethod
     def load(cls, path: str | Path) -> "TrainedPipeline":
         model = load_model(path)
-        sidecar = Path(str(path) + ".json")
+        sidecar = sidecar_path(path)
         if not sidecar.exists():
             raise ConfigurationError(f"pipeline sidecar {sidecar} is missing")
-        meta = read_model_sidecar(sidecar)
+        meta = read_sidecar(sidecar, "model")
         if "pipeline" not in meta:
             raise ConfigurationError(f"{sidecar} has no pipeline descriptor")
         desc = normalize_descriptor(meta["pipeline"])
@@ -291,19 +387,6 @@ class TrainedPipeline:
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError(f"{sidecar} has no valid input_length") from e
         return cls(descriptor=desc, model=model, input_length=input_length)
-
-
-def read_model_sidecar(sidecar: Path) -> dict:
-    """The JSON object in a model sidecar; ``FileFormatError`` if the file
-    is not UTF-8 JSON or holds anything but an object."""
-    try:
-        meta = json.loads(sidecar.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FileFormatError(f"model sidecar {sidecar} is not valid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        kind = type(meta).__name__
-        raise FileFormatError(f"model sidecar {sidecar} holds a JSON {kind}, not an object")
-    return meta
 
 
 def train_pipeline(

@@ -360,3 +360,37 @@ def test_evaluate_rejects_incompatible_data(workdir, capsys):
     capsys.readouterr()
     rc = main(["evaluate", "--model", str(model), "--data", str(long_data)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b'{"config": ', "not valid JSON"),
+        (b"\xff\xfe", "not valid JSON"),
+        (b"[1, 2]", "not an object"),
+        (b'{"config": {"seed": 1, "bogus": 2}}', "bad config"),
+        (b'{"config": [1, 2]}', "bad config"),
+    ],
+)
+@pytest.mark.parametrize("command", ["inspect", "evaluate"])
+def test_bad_dataset_sidecar_exits_4(workdir, capsys, command, content, message):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    (workdir / "shots.rkd.json").write_bytes(content)
+    capsys.readouterr()
+    args = ["--data", str(data)] + (["--model", str(model)] if command == "evaluate" else [])
+    assert main([command, *args]) == 4
+    err = capsys.readouterr().err
+    assert "dataset sidecar" in err and message in err
+
+
+def test_pipeline_with_non_mapping_stage_exits_2(workdir, capsys):
+    data = simulate(workdir)
+    pipe = workdir / "bad_pipeline.json"
+    pipe.write_text(json.dumps({**QUICK_PIPELINE, "stages": ["demodulate"]}))
+    capsys.readouterr()
+    out = workdir / "m.rkm"
+    rc = main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(out)])
+    assert rc == 2
+    assert "stage 0 must be a mapping" in capsys.readouterr().err

@@ -181,3 +181,15 @@ def test_csv_export(tmp_path, quiet_dataset):
     first = lines[1].split(",")
     assert int(first[1]) == quiet_dataset.shots[0].label
     assert float(first[3]) == float(quiet_dataset.shots[0].samples[0])
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"config": ', b"\xff\xfe", b"[1, 2]", b'"config"', b'{"config": {"seed": 1, "bogus": 2}}'],
+)
+def test_load_rejects_bad_sidecar(tmp_path, quiet_dataset, content):
+    path = tmp_path / "shots.rkd"
+    save_dataset(quiet_dataset, path)
+    sidecar_path(path).write_bytes(content)
+    with pytest.raises(FileFormatError, match="dataset sidecar"):
+        load_dataset(path)

@@ -1,0 +1,266 @@
+"""The bandpass-led front end evaluated per in-band DFT bin.
+
+The oracle is the per-sample chain the pipeline ran before: a full complex
+FFT, the brick-wall mask, a complex inverse FFT, then demodulate, bin,
+path_transform and integrate sample by sample.  The fold sums the same
+linear map over the in-band coefficients, so it agrees to rounding; a
+stage list without a bandpass still runs the per-sample chain and matches
+the oracle byte for byte.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from readoutkit import (
+    ConfigurationError,
+    SimConfig,
+    generate_dataset,
+    normalize_descriptor,
+    preprocess_batch,
+    standard_pipelines,
+)
+from readoutkit.dsp import band_bins
+from readoutkit.pipeline import _band_response, apply_stages
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def oracle_stages(samples, rate, stages):
+    """The per-sample stage chain with the complex-FFT bandpass."""
+    x = np.asarray(samples, dtype=float)
+    i = q = None
+    kind = "raw"
+    for st in stages:
+        op = st["op"]
+        if op == "bandpass":
+            coeffs = np.fft.fft(x, axis=-1)
+            freqs = np.fft.fftfreq(x.shape[-1], d=1.0 / rate)
+            keep = np.abs(np.abs(freqs) - st["center"]) <= st["half_width"]
+            x = np.real(np.fft.ifft(coeffs * keep, axis=-1))
+        elif op == "demodulate":
+            ph = 2.0 * np.pi * st["frequency"] * (np.arange(x.shape[-1]) / rate)
+            i = 2.0 * x * np.cos(ph)
+            q = -2.0 * x * np.sin(ph)
+            kind = "traj"
+        elif op == "bin":
+            size = st["size"]
+            steps = i.shape[-1] // size
+            i = i[..., : steps * size].reshape(i.shape[:-1] + (steps, size)).mean(axis=-1)
+            q = q[..., : steps * size].reshape(q.shape[:-1] + (steps, size)).mean(axis=-1)
+            rate = rate / size
+        elif op == "path_transform":
+            w = st.get("weights")
+            di = np.diff(i, axis=-1, prepend=i[..., :1])
+            dq = np.diff(q, axis=-1, prepend=q[..., :1])
+            if w is not None:
+                di = di * np.asarray(w, dtype=float)
+                dq = dq * np.asarray(w, dtype=float)
+            i = np.cumsum(di, axis=-1)
+            q = np.cumsum(dq, axis=-1)
+        elif op == "integrate":
+            i = i.mean(axis=-1)
+            q = q.mean(axis=-1)
+            kind = "point"
+    return kind, np.stack([i, q], axis=-1), rate
+
+
+def relative_error(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def bp(center=0.1, half_width=0.005):
+    return {"op": "bandpass", "center": center, "half_width": half_width}
+
+
+def demod(frequency=0.1):
+    return {"op": "demodulate", "frequency": frequency}
+
+
+def band_response(stages, n=2000, rate=2.0):
+    key = json.dumps(stages, sort_keys=True, separators=(",", ":"))
+    return _band_response(key, n, rate)
+
+
+@pytest.fixture(scope="module")
+def shots():
+    return generate_dataset(SimConfig(seed=0), shots_per_state=20).shots
+
+
+@pytest.fixture(scope="module")
+def block(shots):
+    return np.stack([s.samples for s in shots]).astype(float)
+
+
+@pytest.mark.parametrize("name", ["bandpass_lstm", "signature_dense"])
+def test_stock_pipelines_match_oracle(block, name):
+    stages = normalize_descriptor(standard_pipelines()[name])["stages"]
+    kind, arr, rate = apply_stages(block, 2.0, stages)
+    o_kind, o_arr, o_rate = oracle_stages(block, 2.0, stages)
+    assert (kind, rate) == (o_kind, o_rate)
+    assert arr.shape == o_arr.shape == (60, 50, 2)
+    assert relative_error(arr, o_arr) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [{"op": "integrate"}],
+        [{"op": "bin", "size": 40}, {"op": "path_transform", "weights": None}],
+        [{"op": "bin", "size": 100}, {"op": "path_transform", "weights": [0.5, 2.0] * 10}],
+        [{"op": "path_transform", "weights": None}],
+    ],
+    ids=["integrate", "bin-path_transform", "weighted-path_transform", "path_transform"],
+)
+def test_linear_tails_match_oracle(block, tail):
+    stages = [bp(), demod()] + tail
+    kind, arr, _ = apply_stages(block, 2.0, stages)
+    o_kind, o_arr, _ = oracle_stages(block, 2.0, stages)
+    assert kind == o_kind
+    assert arr.shape == o_arr.shape
+    assert relative_error(arr, o_arr) < 1e-12
+
+
+def test_two_bandpass_stages_match_oracle(block):
+    stages = [bp(0.1, 0.01), bp(0.104, 0.004), demod(), {"op": "bin", "size": 40}]
+    _, arr, _ = apply_stages(block, 2.0, stages)
+    _, o_arr, _ = oracle_stages(block, 2.0, stages)
+    assert relative_error(arr, o_arr) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,center,half_width",
+    [
+        (2000, 0.0, 0.003),  # holds the DC bin
+        (2000, 1.0, 0.003),  # holds the Nyquist bin (rate 2, even n)
+        (1999, 0.1, 0.005),  # odd n: no Nyquist bin
+        (1999, 0.9995, 0.003),  # odd n at the top of the band
+        (401, 0.25, 0.02),
+    ],
+)
+def test_band_edges_and_odd_lengths_match_oracle(rng, n, center, half_width):
+    x = rng.normal(size=(9, n)) + 0.3
+    for tail in ([{"op": "bin", "size": 25}], [{"op": "integrate"}]):
+        stages = [bp(center, half_width), demod(center)] + tail
+        assert band_response(stages, n) is not None
+        _, arr, _ = apply_stages(x, 2.0, stages)
+        _, o_arr, _ = oracle_stages(x, 2.0, stages)
+        assert arr.shape == o_arr.shape
+        assert relative_error(arr, o_arr) < 1e-12
+
+
+def test_empty_band_gives_zeros(block):
+    # bins lie 0.001 apart at n=2000, rate 2: none is within 1e-4 of 0.1003
+    assert band_bins(2000, 2.0, 0.1003, 1e-4).size == 0
+    stages = [bp(0.1003, 1e-4), demod(), {"op": "bin", "size": 40}]
+    kind, arr, rate = apply_stages(block, 2.0, stages)
+    o_kind, o_arr, o_rate = oracle_stages(block, 2.0, stages)
+    assert (kind, rate) == (o_kind, o_rate)
+    assert arr.shape == o_arr.shape
+    assert np.all(arr == 0.0) and np.all(o_arr == 0.0)
+
+
+@pytest.mark.parametrize("name", ["lstm", "gmm"])
+def test_stage_lists_without_bandpass_match_oracle_bytes(block, name):
+    stages = normalize_descriptor(standard_pipelines()[name])["stages"]
+    _, arr, _ = apply_stages(block, 2.0, stages)
+    _, o_arr, _ = oracle_stages(block, 2.0, stages)
+    assert np.array_equal(arr, o_arr)
+
+
+@pytest.mark.parametrize("n", [2000, 1999, 400, 7])
+def test_band_bins_is_the_complex_dft_keep_rule(n):
+    for center, half_width in ((0.1, 0.005), (0.0, 0.01), (1.0, 0.01), (0.3, 0.3)):
+        freqs = np.fft.fftfreq(n, d=0.5)
+        keep = np.abs(np.abs(freqs) - center) <= half_width
+        bins = band_bins(n, 2.0, center, half_width)
+        assert np.array_equal(bins, np.flatnonzero(keep[: n // 2 + 1]))
+
+
+def test_band_bins_rejects_negative_width():
+    with pytest.raises(ConfigurationError):
+        band_bins(100, 2.0, 0.1, -0.01)
+
+
+def test_bandpass_without_demodulate_still_rejected(block):
+    with pytest.raises(ConfigurationError):
+        apply_stages(block, 2.0, [bp()])
+
+
+@pytest.mark.parametrize(
+    "stages,folds",
+    [
+        (normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"], True),
+        ([bp(), demod(), {"op": "integrate"}], True),
+        ([bp(0.1, 0.02), demod(), {"op": "bin", "size": 40}], True),
+        # 20 coefficients times 4000 outputs: more than the per-sample chain
+        ([bp(), demod()], False),
+        ([bp(0.1, 0.05), demod(), {"op": "bin", "size": 40}], False),
+        ([bp(0.1, 0.05), demod(), {"op": "path_transform", "weights": None}], False),
+    ],
+)
+def test_fold_runs_where_it_is_cheaper(block, stages, folds):
+    assert (band_response(stages) is not None) == folds
+    _, arr, _ = apply_stages(block, 2.0, stages)
+    _, o_arr, _ = oracle_stages(block, 2.0, stages)
+    assert relative_error(arr, o_arr) < 1e-12
+
+
+def test_fold_sums_coefficients_in_index_order(block):
+    stages = normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"]
+    bins, _, response, _ = band_response(stages)
+    assert not response.flags.writeable
+    assert response.shape == (2 * len(bins), 50, 2)
+    coeffs = np.fft.rfft(block, axis=-1)[:, bins]
+    terms = np.stack([coeffs.real, coeffs.imag], axis=-1).reshape(len(block), -1)
+    acc = terms[:, 0, None, None] * response[0]
+    for j in range(1, len(response)):
+        acc = acc + terms[:, j, None, None] * response[j]
+    _, arr, _ = apply_stages(block, 2.0, stages)
+    assert arr.tobytes() == acc.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_single_shot_equals_its_row_in_any_chunk(chunk):
+    shots = generate_dataset(SimConfig(seed=3), shots_per_state=174).shots[:520]
+    for name in ("bandpass_lstm", "gmm"):
+        stages = normalize_descriptor(standard_pipelines()[name])["stages"]
+        if name == "gmm":
+            stages = [bp()] + stages
+        _, batch, _ = preprocess_batch(shots, stages, chunk=chunk)
+        for k in (0, 1, 6, 7, 300, 511, 519):
+            _, alone, _ = apply_stages(shots[k].samples, 2.0, stages)
+            assert alone.tobytes() == batch[k].tobytes()
+
+
+_THREAD_PROBE = """
+import hashlib
+import readoutkit as rk
+shots = rk.generate_dataset(rk.SimConfig(seed=5), shots_per_state=200).shots
+stages = rk.normalize_descriptor(rk.standard_pipelines()["bandpass_lstm"])["stages"]
+_, arr, _ = rk.preprocess_batch(shots, stages)
+print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+def test_preprocessed_bytes_do_not_depend_on_thread_count():
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+    assert digests[0] == digests[1]

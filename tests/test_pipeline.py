@@ -91,6 +91,36 @@ def test_descriptor_validation_rejects(stages, model):
         normalize_descriptor({"stages": stages, "model": model})
 
 
+@pytest.mark.parametrize(
+    "stages,index",
+    [
+        (["demodulate"], 0),
+        ([demod_stage(), None], 1),
+        ([{"op": "bandpass", "center": "0.1", "half_width": 0.01}, demod_stage()], 0),
+        ([{"op": "bandpass", "center": float("nan"), "half_width": 0.01}, demod_stage()], 0),
+        ([{"op": "bandpass", "center": 0.1, "half_width": float("inf")}, demod_stage()], 0),
+        ([{"op": "bandpass", "center": 0.1, "half_width": True}, demod_stage()], 0),
+        ([{"op": "bandpass", "center": 0.1, "half_width": None}, demod_stage()], 0),
+        (
+            [
+                {"op": "bandpass", "center": 0.1, "half_width": 0.01},
+                {"op": "bandpass", "center": 0.1, "half_width": -0.01},
+                demod_stage(),
+            ],
+            1,
+        ),
+    ],
+)
+def test_descriptor_rejects_bad_stage_values_with_index(stages, index):
+    with pytest.raises(ConfigurationError, match=f"stage {index}"):
+        normalize_descriptor({"stages": stages, "model": {"kind": "lstm"}})
+
+
+def test_descriptor_accepts_integer_band_edges():
+    stages = [{"op": "bandpass", "center": 0, "half_width": 1}, demod_stage(0.0)]
+    assert normalize_descriptor({"stages": stages, "model": {"kind": "lstm"}})["stages"] == stages
+
+
 def test_descriptor_rejects_bad_weighting_and_model():
     with pytest.raises(ConfigurationError):
         normalize_descriptor(
