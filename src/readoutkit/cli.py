@@ -47,12 +47,9 @@ def _load_sim_config(args) -> SimConfig:
             raw = json.loads(Path(args.config).read_text())
         except OSError as e:
             raise FileFormatError(f"cannot read config: {e}") from e
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigurationError(f"config is not valid JSON: {e}") from e
-        try:
-            cfg = SimConfig.from_dict(raw)
-        except TypeError as e:
-            raise ConfigurationError(f"bad config field: {e}") from e
+        cfg = SimConfig.from_dict(raw)
     else:
         cfg = SimConfig()
     if getattr(args, "seed", None) is not None:

@@ -7,7 +7,9 @@ Dataset layout (little-endian):
     u64           shot count
     u32           samples per shot
     f64           sample rate (samples per ns)
-    per shot      u8 label, u8 herald flag, f32 samples
+    per shot      u8 label, u8 herald flag, f32 samples: one ``_record_dtype(n)``
+                  record; a load reads them all into one block with one call,
+                  and each shot's ``samples`` is a writable row view of it
 
 A ``<name>.json`` sidecar written next to the file records the generating
 config and seed so ground-truth paths can be regenerated on load.
@@ -22,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FileFormatError
+from .errors import ConfigurationError, DataError, FileFormatError
 from .sim import Dataset, RawShot, SimConfig, regenerate_paths
 
 DATASET_MAGIC = b"RKIT-DATASET"
 DATASET_VERSION = 1
-_HEADER = struct.Struct("<12sI")
-_COUNTS = struct.Struct("<QId")
+_HEADER = struct.Struct("<12sIQId")
+_SAVE_BLOCK_ROWS = 512
 
 
 def canonical_json(obj) -> str:
@@ -44,6 +46,10 @@ def config_hash(obj) -> str:
 def sidecar_path(path: str | Path) -> Path:
     """The JSON sidecar written next to a dataset or model file."""
     return Path(path).with_suffix(Path(path).suffix + ".json")
+
+
+def _record_dtype(n_samples: int) -> np.dtype:
+    return np.dtype([("label", "u1"), ("herald", "u1"), ("samples", "<f4", (n_samples,))])
 
 
 def read_sidecar(sidecar: Path, what: str) -> dict:
@@ -72,12 +78,12 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         if len(s.samples) != n_samples or s.sample_rate != rate:
             raise DataError("all shots in a dataset must share length and rate")
 
+    dtype = _record_dtype(n_samples)
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION))
-        f.write(_COUNTS.pack(len(shots), n_samples, rate))
-        for s in shots:
-            f.write(struct.pack("<BB", s.label, 1 if s.herald_pass else 0))
-            f.write(np.asarray(s.samples, dtype="<f4").tobytes())
+        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(shots), n_samples, rate))
+        for start in range(0, len(shots), _SAVE_BLOCK_ROWS):
+            part = shots[start : start + _SAVE_BLOCK_ROWS]
+            np.array([(s.label, s.herald_pass, s.samples) for s in part], dtype).tofile(f)
 
     meta = {"format_version": DATASET_VERSION, "shot_count": len(shots)}
     if dataset.config is not None:
@@ -98,22 +104,25 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            head = f.read(_HEADER.size)
+        size = path.stat().st_size
     except OSError as e:
         raise FileFormatError(f"cannot read dataset: {e}") from e
-    if len(raw) < _HEADER.size + _COUNTS.size:
+    if len(head) < _HEADER.size:
         raise FileFormatError(f"{path} is too short to be a dataset file")
-    magic, version = _HEADER.unpack_from(raw, 0)
+    magic, version, count, n_samples, rate = _HEADER.unpack(head)
     if magic != DATASET_MAGIC:
         raise FileFormatError(f"{path} is not a dataset file (bad magic)")
     if version != DATASET_VERSION:
         raise FileFormatError(f"unsupported dataset version {version}")
-    count, n_samples, rate = _COUNTS.unpack_from(raw, _HEADER.size)
-
-    shot_bytes = 2 + 4 * n_samples
-    offset = _HEADER.size + _COUNTS.size
-    if len(raw) != offset + count * shot_bytes:
+    if size != _HEADER.size + count * (2 + 4 * n_samples):
         raise FileFormatError(f"{path} is truncated or padded")
+    try:
+        dtype = _record_dtype(n_samples)
+    except ValueError as e:  # numpy caps a record at 2 GiB
+        raise FileFormatError(f"{path}: records of {n_samples} samples are too large") from e
+    records = np.fromfile(path, dtype=dtype, count=count, offset=_HEADER.size)
 
     config = None
     sc = sidecar_path(path)
@@ -122,30 +131,19 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
         if "config" in meta:
             try:
                 config = SimConfig.from_dict(meta["config"])
-            except (TypeError, ValueError) as e:
+                config.validate()
+            except ConfigurationError as e:
                 raise FileFormatError(f"dataset sidecar {sc} has a bad config: {e}") from e
 
-    shots = []
-    for i in range(count):
-        base = offset + i * shot_bytes
-        label, herald = struct.unpack_from("<BB", raw, base)
-        samples = np.frombuffer(raw, dtype="<f4", count=n_samples, offset=base + 2)
-        shots.append(
-            RawShot(
-                samples=samples.copy(),
-                label=int(label),
-                herald_pass=bool(herald),
-                true_path=None,
-                shot_id=i,
-                sample_rate=rate,
-            )
-        )
+    labels, heralds = records["label"].tolist(), (records["herald"] != 0).tolist()
+    shots = [
+        RawShot(row, labels[i], heralds[i], true_path=None, shot_id=i, sample_rate=rate)
+        for i, row in enumerate(records["samples"])
+    ]
 
     if regenerate:
         if config is None:
             raise DataError("path regeneration needs the JSON sidecar with a config")
-        if count % 3 != 0:
-            raise DataError("regeneration expects a balanced dataset")
         try:
             regenerate_paths(config, count // 3, shots=shots)
         except DataError as e:

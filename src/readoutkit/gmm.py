@@ -100,18 +100,6 @@ class GmmClassifier:
         w = proba[np.arange(len(labels)), np.asarray(labels, dtype=int)]
         return np.maximum(w, floor)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "gmm",
-            "means": self.means.tolist(),
-            "covs": self.covs.tolist(),
-            "priors": self.priors.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GmmClassifier":
-        return cls(np.array(d["means"]), np.array(d["covs"]), np.array(d["priors"]))
-
     def arch(self) -> dict:
         return {"kind": "gmm", "n_classes": self.n_classes, "dim": self.dim}
 

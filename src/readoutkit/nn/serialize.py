@@ -23,8 +23,9 @@ import numpy as np
 
 from ..dataio import canonical_json, sidecar_path
 from ..errors import FileFormatError
-from .dense import DenseNetwork
-from .lstm import LstmNetwork
+from ..gmm import GmmClassifier
+from .dense import DenseNetwork, dense_param_count
+from .lstm import LstmNetwork, lstm_param_count
 
 MODEL_MAGIC = b"RKIT-MODEL\x00\x00"
 MODEL_VERSION = 1
@@ -49,6 +50,26 @@ def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
     sidecar_path(path).write_text(canonical_json(meta) + "\n")
 
 
+def _declared_count(arch, path: Path) -> int:
+    """Parameter count an architecture block declares, checked before any
+    model is built; ``FileFormatError`` unless the block is an object that
+    describes a model of a known kind with positive integer sizes."""
+    kind = arch.get("kind") if isinstance(arch, dict) else None
+    if kind not in ("gmm", "lstm", "dense"):
+        raise FileFormatError(f"architecture block in {path} names no known model kind")
+    keys = ("n_classes", "dim") if kind == "gmm" else ("input_dim", "output_dim")
+    hidden = [] if kind == "gmm" else arch.get("hidden")
+    sizes = [arch.get(k) for k in keys] + (hidden if isinstance(hidden, list) else [None])
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
+        raise FileFormatError(f"invalid {kind} architecture in {path}: {canonical_json(arch)}")
+    if kind == "gmm":
+        nc, dim = sizes
+        return nc * (dim + dim * dim + 1)
+    if kind == "dense":
+        return dense_param_count(sizes[0], hidden, sizes[1])
+    return lstm_param_count(sizes[0], hidden, sizes[1], arch.get("output_bias", False))
+
+
 def load_model(path: str | Path):
     path = Path(path)
     try:
@@ -62,43 +83,29 @@ def load_model(path: str | Path):
         raise FileFormatError(f"{path} is not a model file (bad magic)")
     if version != MODEL_VERSION:
         raise FileFormatError(f"unsupported model version {version}")
-    offset = _HEAD.size
+    offset = _HEAD.size + json_len
+    if len(raw) < offset + 8:
+        raise FileFormatError(f"{path} is truncated")
     try:
-        arch = json.loads(raw[offset : offset + json_len])
-    except json.JSONDecodeError as e:
+        arch = json.loads(raw[_HEAD.size : offset])
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"corrupt architecture block in {path}") from e
-    offset += json_len
     (count,) = struct.unpack_from("<Q", raw, offset)
     offset += 8
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    if len(flat) != count:
+    if len(raw) < offset + 8 * count:
         raise FileFormatError(f"{path} is truncated")
-
-    kind = arch.get("kind")
-    if kind == "gmm":
-        from ..gmm import GmmClassifier
-
-        expected = arch["n_classes"] * (arch["dim"] + arch["dim"] ** 2 + 1)
-        if count != expected:
-            raise FileFormatError(
-                f"parameter count mismatch: file has {count}, architecture needs {expected}"
-            )
-        return GmmClassifier.from_flat(arch, flat)
-    if kind == "lstm":
-        model = LstmNetwork.from_arch(arch)
-    elif kind == "dense":
-        model = DenseNetwork.from_arch(arch)
-    else:
-        raise FileFormatError(f"unknown model kind {kind!r}")
-
-    params = model.param_arrays()
-    expected = sum(p.size for p in params)
-    if expected != count:
+    expected = _declared_count(arch, path)
+    if count != expected:
         raise FileFormatError(
             f"parameter count mismatch: file has {count}, architecture needs {expected}"
         )
+    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+
+    if arch["kind"] == "gmm":
+        return GmmClassifier.from_flat(arch, flat)
+    model = (LstmNetwork if arch["kind"] == "lstm" else DenseNetwork).from_arch(arch)
     pos = 0
-    for p in params:
+    for p in model.param_arrays():
         p[...] = flat[pos : pos + p.size].reshape(p.shape)
         pos += p.size
     return model

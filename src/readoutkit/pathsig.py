@@ -59,49 +59,23 @@ class SignatureVector:
         return np.concatenate([lvl.reshape(-1) for lvl in self.levels])
 
 
-def _segment_signature(delta: np.ndarray, order: int) -> list[np.ndarray]:
-    """Truncated tensor exponential of one displacement: level k holds
-    ``delta^(tensor k) / k!``."""
-    levels = [np.ones(())]
-    for k in range(1, order + 1):
-        levels.append(np.multiply.outer(levels[-1], delta) / k)
-    return levels
-
-
-def _chen_product(a: list[np.ndarray], b: list[np.ndarray], order: int) -> list[np.ndarray]:
-    """Tensor-algebra product truncated at ``order``: the concatenation of
-    two paths has signature level k = sum over splits a_j (x) b_(k-j)."""
-    out = []
-    for k in range(order + 1):
-        acc = np.zeros(a[k].shape)
-        for j in range(k + 1):
-            acc = acc + np.multiply.outer(a[j], b[k - j])
-        out.append(acc)
-    return out
-
-
 def signature(points: np.ndarray, order: int) -> SignatureVector:
     """Truncated signature of the piecewise-linear path through ``points``.
 
     ``points`` is (n, dim) with n >= 1.  A single point (or coincident
-    points) yields the trivial signature (1, 0, 0, ...).
+    points) yields the trivial signature (1, 0, 0, ...).  Computed as a
+    batch of one by :func:`batch_signature` and split into its levels.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ConfigurationError("signature expects an (n, dim) point array")
-    if order < 0:
-        raise ConfigurationError("order must be >= 0")
     dim = pts.shape[1]
-
-    sig = [np.ones(())] + [np.zeros((dim,) * k) for k in range(1, order + 1)]
-    for n in range(1, pts.shape[0]):
-        delta = pts[n] - pts[n - 1]
-        if not np.any(delta):
-            continue
-        sig = _chen_product(sig, _segment_signature(delta, order), order)
-    return SignatureVector(levels=sig, dim=dim, order=order)
+    flat = batch_signature(pts[None], order)[0]
+    ends = np.cumsum([dim**k for k in range(order + 1)])
+    levels = [lvl.reshape((dim,) * k) for k, lvl in enumerate(np.split(flat, ends[:-1]))]
+    return SignatureVector(levels=levels, dim=dim, order=order)
 
 
 def trajectory_signature(traj_array: np.ndarray, order: int = 5) -> np.ndarray:
@@ -113,10 +87,13 @@ def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
     """Flattened signatures of many paths at once.
 
     ``paths`` is (batch, n, dim); the result is (batch, signature_length).
-    Levels are kept flat (level k as a dim**k vector per path) so the Chen
-    products reduce to broadcasted outer products; the C-order flattening of
-    a tensor product equals the Kronecker product of the flattened factors,
-    so this matches :func:`signature` exactly.
+    Each step's segment signature is the truncated tensor exponential of
+    its displacement (level k holds ``delta^(tensor k) / k!``), and it is
+    appended with the truncated tensor-algebra (Chen) product: level k of
+    the product is the sum over splits j of ``sig_j (x) seg_(k-j)``.  Levels
+    are kept flat (level k as a dim**k vector per path), which is the
+    C-order flattening of the tensor, so the tensor products reduce to
+    broadcasted outer products.
     """
     pts = np.asarray(paths, dtype=float)
     if pts.ndim != 3:

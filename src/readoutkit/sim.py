@@ -22,7 +22,10 @@ shots_per_state)`` always yields the same bytes and the same paths.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -61,6 +64,12 @@ class StatePath:
             if start <= t < end:
                 return state
         return self.segments[-1][0]
+
+
+def _is_number(value) -> bool:
+    """A real number that is finite as a float; bools are not numbers."""
+    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
+    return finite and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,26 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """Config from its :meth:`to_dict` form, such as parsed JSON.  Types
+        are checked here and ranges in :meth:`validate`; an unknown field or
+        a value of the wrong type raises ``ConfigurationError``."""
+        if not isinstance(d, Mapping) or not d.keys() <= cls.__dataclass_fields__.keys():
+            raise ConfigurationError(f"config is not a mapping of SimConfig fields: {d!r}")
         d = dict(d)
+        for key, v in d.items():
+            if key == "seed":
+                ok = isinstance(v, Integral) and not isinstance(v, bool)
+            elif key == "t1":
+                ok = isinstance(v, (list, tuple)) and all(t is None or _is_number(t) for t in v)
+            elif key == "state_envelopes":
+                ok = isinstance(v, (list, tuple)) and all(
+                    isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_number, e))
+                    for e in v
+                )
+            else:
+                ok = _is_number(v)
+            if not ok:
+                raise ConfigurationError(f"config field {key!r} has a bad type or value: {v!r}")
         if "t1" in d:
             d["t1"] = tuple(d["t1"])
         if "state_envelopes" in d:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -210,6 +211,95 @@ def test_invalid_config_value_is_config_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(json.dumps({**QUICK_CONFIG, "seed": "abc"}).encode(), id="seed-string"),
+        pytest.param(
+            json.dumps({**QUICK_CONFIG, "duration": "1000"}).encode(), id="duration-string"
+        ),
+        pytest.param(json.dumps({**QUICK_CONFIG, "noise_sigma": None}).encode(), id="noise-null"),
+        pytest.param(json.dumps({**QUICK_CONFIG, "t1": [True, None]}).encode(), id="t1-bool"),
+        pytest.param(
+            json.dumps({**QUICK_CONFIG, "state_envelopes": [[1.0, 0.0, 2.0]] * 3}).encode(),
+            id="envelope-triple",
+        ),
+        pytest.param(b"[1, 2]", id="list"),
+        pytest.param(b"\xff\xfe", id="not-utf8"),
+    ],
+)
+def test_simulate_config_with_wrong_types_exits_2(workdir, capsys, content):
+    bad = workdir / "bad.json"
+    bad.write_bytes(content)
+    rc = main(["simulate", "--config", str(bad), "--out", str(workdir / "x.rkd")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (workdir / "x.rkd").exists()
+
+
+def test_compare_with_wrongly_typed_sidecar_exits_4(workdir, capsys):
+    data = simulate(workdir)
+    sidecar = workdir / "shots.rkd.json"
+    meta = json.loads(sidecar.read_text())
+    meta["config"]["seed"] = "abc"
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["compare", "--data", str(data), "--pipeline", "gmm"]) == 4
+    assert "'seed'" in capsys.readouterr().err
+
+
+def _model_file(arch, params, count=None):
+    arch_bytes = json.dumps(arch).encode() if not isinstance(arch, bytes) else arch
+    head = struct.pack("<12sII", b"RKIT-MODEL\x00\x00", 1, len(arch_bytes))
+    count = len(params) if count is None else count
+    return head + arch_bytes + struct.pack("<Q", count) + np.asarray(params, "<f8").tobytes()
+
+
+GMM_ARCH = {"kind": "gmm", "n_classes": 3, "dim": 2}
+LSTM_ARCH = {"kind": "lstm", "input_dim": 2, "hidden": [4], "output_dim": 3}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda raw: raw[:-8], id="last-8-bytes-cut"),
+        pytest.param(
+            lambda raw: raw[: 20 + struct.unpack_from("<I", raw, 16)[0] + 4], id="cut-inside-count"
+        ),
+        pytest.param(
+            lambda raw: raw[:16] + struct.pack("<I", 10**6) + raw[20:], id="json-len-past-end"
+        ),
+        pytest.param(lambda raw: _model_file([1, 2], np.zeros(21)), id="arch-is-a-list"),
+        pytest.param(
+            lambda raw: _model_file({"kind": "gmm", "n_classes": 3}, np.zeros(21)),
+            id="gmm-without-dim",
+        ),
+        pytest.param(
+            lambda raw: _model_file({k: v for k, v in LSTM_ARCH.items() if k != "hidden"}, []),
+            id="lstm-without-hidden",
+        ),
+        pytest.param(
+            lambda raw: _model_file({**LSTM_ARCH, "hidden": "ab"}, np.zeros(21)), id="hidden-ab"
+        ),
+        pytest.param(lambda raw: _model_file(b"\xff\xfe\xfd", np.zeros(21)), id="arch-not-utf8"),
+        pytest.param(
+            lambda raw: _model_file(GMM_ARCH, np.zeros(21), count=2**60), id="count-past-end"
+        ),
+        pytest.param(
+            lambda raw: _model_file({**GMM_ARCH, "dim": 10**6}, np.zeros(21)), id="count-mismatch"
+        ),
+    ],
+)
+def test_corrupt_model_file_exits_4(workdir, capsys, corrupt):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    model.write_bytes(corrupt(model.read_bytes()))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "file error:" in capsys.readouterr().err
+
+
 def test_unreadable_files_exit_4(workdir, capsys):
     rc = main(["evaluate", "--model", "missing.rkm", "--data", "missing.rkd"])
     assert rc == 4
@@ -370,6 +460,8 @@ def test_evaluate_rejects_incompatible_data(workdir, capsys):
         (b"[1, 2]", "not an object"),
         (b'{"config": {"seed": 1, "bogus": 2}}', "bad config"),
         (b'{"config": [1, 2]}', "bad config"),
+        (b'{"config": {"seed": "abc"}}', "bad config"),
+        (b'{"config": {"duration": -5}}', "bad config"),
     ],
 )
 @pytest.mark.parametrize("command", ["inspect", "evaluate"])

@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from readoutkit import (
+    RawShot,
     SimConfig,
     canonical_json,
     config_hash,
@@ -14,6 +16,46 @@ from readoutkit import (
 )
 from readoutkit.dataio import DATASET_MAGIC, sidecar_path
 from readoutkit.errors import DataError, FileFormatError
+from readoutkit.sim import Dataset
+
+
+def _v1_oracle_bytes(shots):
+    """The v1 file body written field by field with ``struct``: the format
+    reference for the record-dtype writer."""
+    n, rate = len(shots[0].samples), shots[0].sample_rate
+    out = [struct.pack("<12sI", DATASET_MAGIC, 1), struct.pack("<QId", len(shots), n, rate)]
+    for s in shots:
+        out.append(struct.pack("<BB", s.label, 1 if s.herald_pass else 0))
+        out.append(np.asarray(s.samples, dtype="<f4").tobytes())
+    return b"".join(out)
+
+
+def _v1_oracle_read(raw):
+    """(labels, herald flags, samples) of a v1 file, read field by field."""
+    count, n, _ = struct.unpack_from("<QId", raw, 16)
+    labels, heralds, samples = [], [], []
+    for i in range(count):
+        base = 36 + i * (2 + 4 * n)
+        label, herald = struct.unpack_from("<BB", raw, base)
+        labels.append(label)
+        heralds.append(bool(herald))
+        samples.append(np.frombuffer(raw, dtype="<f4", count=n, offset=base + 2))
+    return labels, heralds, samples
+
+
+def _mixed_shots(count, n, seed=5, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    return [
+        RawShot(
+            samples=rng.normal(size=n).astype(dtype),
+            label=int(rng.integers(0, 3)),
+            herald_pass=bool(rng.random() < 0.7),
+            true_path=None,
+            shot_id=k,
+            sample_rate=2.0,
+        )
+        for k in range(count)
+    ]
 
 
 def test_canonical_json_sorted_and_compact():
@@ -58,6 +100,52 @@ def test_file_layout_magic_and_header(tmp_path, quiet_dataset):
     n_samples = len(quiet_dataset.shots[0].samples)
     expected = 16 + 20 + len(quiet_dataset) * (2 + 4 * n_samples)
     assert len(raw) == expected
+
+
+@pytest.mark.parametrize(
+    "count,n,dtype",
+    [(1, 5, np.float32), (511, 3, np.float32), (512, 3, np.float32), (1100, 7, np.float32),
+     (600, 4, np.float64), (3, 0, np.float32)],
+)
+def test_saved_bytes_match_v1_oracle(tmp_path, count, n, dtype):
+    shots = _mixed_shots(count, n, dtype=dtype)
+    path = tmp_path / "shots.rkd"
+    save_dataset(Dataset(shots=shots), path)
+    assert path.read_bytes() == _v1_oracle_bytes(shots)
+
+
+def test_saved_bytes_match_v1_oracle_for_generated_data(tmp_path, quiet_dataset):
+    path = tmp_path / "shots.rkd"
+    save_dataset(quiet_dataset, path)
+    assert path.read_bytes() == _v1_oracle_bytes(quiet_dataset.shots)
+
+
+@pytest.mark.parametrize("count,n", [(1, 5), (1100, 7), (3, 0)])
+def test_load_reads_v1_oracle_files(tmp_path, count, n):
+    raw = _v1_oracle_bytes(_mixed_shots(count, n))
+    path = tmp_path / "shots.rkd"
+    path.write_bytes(raw)
+    loaded = load_dataset(path)
+    labels, heralds, samples = _v1_oracle_read(raw)
+    assert [s.label for s in loaded.shots] == labels
+    assert [s.herald_pass for s in loaded.shots] == heralds
+    assert [s.shot_id for s in loaded.shots] == list(range(count))
+    for shot, want in zip(loaded.shots, samples):
+        assert shot.samples.dtype == np.dtype("<f4")
+        assert shot.samples.tobytes() == want.tobytes()
+        assert shot.samples.flags.writeable
+        assert shot.sample_rate == 2.0
+    # every trace is a row of one loaded block
+    block = loaded.shots[0].samples.base
+    assert block is not None and all(s.samples.base is block for s in loaded.shots)
+
+
+def test_load_rejects_header_with_oversized_records(tmp_path):
+    path = tmp_path / "shots.rkd"
+    # zero shots, so the size check passes, but no record can hold 2**31 samples
+    path.write_bytes(struct.pack("<12sIQId", DATASET_MAGIC, 1, 0, 2**31, 2.0))
+    with pytest.raises(FileFormatError, match="too large"):
+        load_dataset(path)
 
 
 def test_sidecar_contains_config_and_hash(tmp_path, quiet_dataset):
@@ -185,7 +273,17 @@ def test_csv_export(tmp_path, quiet_dataset):
 
 @pytest.mark.parametrize(
     "content",
-    [b'{"config": ', b"\xff\xfe", b"[1, 2]", b'"config"', b'{"config": {"seed": 1, "bogus": 2}}'],
+    [
+        b'{"config": ',
+        b"\xff\xfe",
+        b"[1, 2]",
+        b'"config"',
+        b'{"config": {"seed": 1, "bogus": 2}}',
+        b'{"config": {"seed": "abc"}}',
+        b'{"config": {"duration": "1000"}}',
+        b'{"config": {"noise_sigma": null}}',
+        b'{"config": {"duration": -5}}',
+    ],
 )
 def test_load_rejects_bad_sidecar(tmp_path, quiet_dataset, content):
     path = tmp_path / "shots.rkd"

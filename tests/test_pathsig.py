@@ -11,7 +11,38 @@ from readoutkit import (
     signature_length,
     trajectory_signature,
 )
-from readoutkit.pathsig import _chen_product, _segment_signature
+
+
+def _tensor_product(a, b, order):
+    """Truncated tensor-algebra product of two level lists."""
+    return [
+        sum(np.multiply.outer(a[j], b[k - j]) for j in range(k + 1)) for k in range(order + 1)
+    ]
+
+
+def _per_path_signature(points, order):
+    """Per-path Chen loop that skips stationary steps: a reference that
+    shares no code with ``batch_signature`` and gives the same bytes."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    dim = pts.shape[1]
+    sig = [np.ones(())] + [np.zeros((dim,) * k) for k in range(1, order + 1)]
+    for n in range(1, pts.shape[0]):
+        delta = pts[n] - pts[n - 1]
+        if not np.any(delta):
+            continue
+        seg = [np.ones(())]
+        for k in range(1, order + 1):
+            seg.append(np.multiply.outer(seg[-1], delta) / k)
+        out = []
+        for k in range(order + 1):
+            acc = np.zeros(sig[k].shape)
+            for j in range(k + 1):
+                acc = acc + np.multiply.outer(sig[j], seg[k - j])
+            out.append(acc)
+        sig = out
+    return sig
 
 
 def test_path_transform_uniform_weights_example():
@@ -125,9 +156,7 @@ def test_concatenation_matches_tensor_product(rng):
         p2 = p2 - p2[0] + p1[-1]
         joined = np.concatenate([p1, p2[1:]])
         sig_joined = signature(joined, 4)
-        combined = _chen_product(
-            signature(p1, 4).levels, signature(p2, 4).levels, 4
-        )
+        combined = _tensor_product(signature(p1, 4).levels, signature(p2, 4).levels, 4)
         for lv_j, lv_c in zip(sig_joined.levels, combined):
             assert np.allclose(lv_j, lv_c, atol=1e-8)
 
@@ -165,9 +194,27 @@ def test_batch_signature_handles_stationary_steps(rng):
 def test_segment_signature_norm_decay(rng):
     # level norms of a straight segment are |delta|**k / k!
     delta = np.array([0.6, -0.8])
-    levels = _segment_signature(delta, 6)
+    levels = signature(np.stack([np.zeros(2), delta]), 6).levels
     for k, lv in enumerate(levels):
         assert abs(np.sqrt(np.sum(lv**2)) - 1.0 / math.factorial(k)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 20])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 5])
+def test_signature_bytes_match_per_path_chen_loop(n, dim, order):
+    rng = np.random.default_rng(100 * n + 10 * dim + order)
+    pts = rng.normal(size=(n, dim))
+    if n > 2:
+        pts[2] = pts[1]  # a stationary step
+    inputs = [pts, pts[:, 0]] if dim == 1 else [pts]
+    for points in inputs:
+        got = signature(points, order).levels
+        want = _per_path_signature(points, order)
+        assert len(got) == order + 1
+        for k, (lv_got, lv_want) in enumerate(zip(got, want)):
+            assert lv_got.shape == lv_want.shape == (dim,) * k
+            assert lv_got.tobytes() == lv_want.tobytes()
 
 
 def test_signature_rejects_bad_input():
