@@ -8,19 +8,7 @@ scratch, and compare the classifiers shot by shot.
 """
 
 from .dataio import canonical_json, config_hash, export_csv, load_dataset, save_dataset
-from .dsp import (
-    IqPoint,
-    IqTrajectory,
-    Spectrum,
-    bandpass,
-    bin_average,
-    bin_trajectory,
-    demodulate,
-    forward_fft,
-    integrate,
-    inverse_fft,
-    spectrum,
-)
+from .dsp import bandpass, bin_average, demodulate, forward_fft, inverse_fft
 from .errors import (
     ConfigurationError,
     DataError,
@@ -68,7 +56,6 @@ from .pipeline import (
     TrainedPipeline,
     normalize_descriptor,
     preprocess_batch,
-    preprocess_shot,
     standard_pipelines,
     train_pipeline,
 )

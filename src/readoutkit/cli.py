@@ -59,15 +59,16 @@ def _load_sim_config(args) -> SimConfig:
 
 
 def _resolve_descriptor(spec: str, dataset: Dataset) -> dict:
+    """The stock pipeline or JSON file ``spec`` names, validated."""
     cfg = dataset.config or SimConfig()
     stock = pl.standard_pipelines(frequency=cfg.f_if)
     if spec in stock:
-        return stock[spec]
+        return pl.normalize_descriptor(stock[spec])
     p = Path(spec)
     if p.exists():
         try:
-            return json.loads(p.read_text())
-        except json.JSONDecodeError as e:
+            return pl.normalize_descriptor(json.loads(p.read_text()))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigurationError(f"pipeline file is not valid JSON: {e}") from e
     raise ConfigurationError(
         f"unknown pipeline {spec!r}; use one of {sorted(stock)} or a JSON file path"

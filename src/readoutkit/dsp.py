@@ -15,54 +15,9 @@ coefficients (see :mod:`readoutkit.pipeline`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-@dataclass
-class IqTrajectory:
-    """Demodulated in-phase/quadrature series at a (possibly binned) rate.
-
-    ``i`` and ``q`` index time on the last axis; batched use stores one
-    trace per row.
-    """
-
-    i: np.ndarray
-    q: np.ndarray
-    sample_rate: float
-
-    def __len__(self) -> int:
-        return self.i.shape[-1]
-
-    def as_array(self) -> np.ndarray:
-        """Stack I and Q on a trailing axis: (n, 2), or (batch, n, 2)."""
-        return np.stack([self.i, self.q], axis=-1)
-
-
-@dataclass(frozen=True)
-class IqPoint:
-    """A single integrated point in the I-Q plane."""
-
-    i: float
-    q: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i, self.q])
-
-
-@dataclass
-class Spectrum:
-    """One-sided magnitude spectrum normalized to preserve total power.
-
-    ``sum(mag**2)`` equals ``sum(x**2)`` for the real input ``x`` (energy in
-    negative-frequency bins is folded into the positive side).
-    """
-
-    freqs: np.ndarray
-    mag: np.ndarray
 
 
 def forward_fft(x: np.ndarray) -> np.ndarray:
@@ -76,40 +31,26 @@ def inverse_fft(coeffs: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(coeffs, axis=-1))
 
 
-def demodulate(samples: np.ndarray, sample_rate: float, f_if: float) -> IqTrajectory:
+def demodulate(samples: np.ndarray, sample_rate: float, f_if: float) -> np.ndarray:
     """Mix real traces down to baseband I/Q at frequency ``f_if``.
 
     Time runs along the last axis, so a (batch, n) matrix of traces is
-    processed in one call.  The factor 2 makes a unit-amplitude tone at
-    ``f_if`` demodulate to (I, Q) = (1, 0) up to the double-frequency
-    ripple.
+    processed in one call.  Returns one array shaped ``(2,) +
+    samples.shape``: row 0 is I and row 1 is Q.  The factor 2 makes a
+    unit-amplitude tone at ``f_if`` demodulate to (I, Q) = (1, 0) up to the
+    double-frequency ripple.
     """
     if sample_rate <= 0:
         raise ConfigurationError("sample_rate must be positive")
     x = np.asarray(samples, dtype=float)
     t = np.arange(x.shape[-1]) / sample_rate
     ph = 2.0 * np.pi * f_if * t
-    return IqTrajectory(
-        i=2.0 * x * np.cos(ph),
-        q=-2.0 * x * np.sin(ph),
-        sample_rate=sample_rate,
-    )
-
-
-def spectrum(samples: np.ndarray, sample_rate: float) -> Spectrum:
-    """One-sided power-preserving magnitude spectrum of a real trace."""
-    x = np.asarray(samples, dtype=float)
-    n = len(x)
-    if n == 0:
-        raise ConfigurationError("cannot take the spectrum of an empty trace")
-    coeffs = np.fft.rfft(x)
-    mag = np.abs(coeffs) / np.sqrt(n)
-    # interior bins carry the mirrored negative-frequency energy
-    if n % 2 == 0:
-        mag[1:-1] *= np.sqrt(2.0)
-    else:
-        mag[1:] *= np.sqrt(2.0)
-    return Spectrum(freqs=np.fft.rfftfreq(n, d=1.0 / sample_rate), mag=mag)
+    iq = np.empty((2,) + x.shape)
+    np.multiply(x, 2.0, out=iq[0])
+    iq[0] *= np.cos(ph)
+    np.multiply(x, -2.0, out=iq[1])
+    iq[1] *= np.sin(ph)
+    return iq
 
 
 def band_bins(n: int, sample_rate: float, center: float, half_width: float) -> np.ndarray:
@@ -153,20 +94,3 @@ def bin_average(values: np.ndarray, bin_size: int) -> np.ndarray:
     n_bins = x.shape[-1] // bin_size
     trimmed = x[..., : n_bins * bin_size]
     return trimmed.reshape(x.shape[:-1] + (n_bins, bin_size)).mean(axis=-1)
-
-
-def bin_trajectory(traj: IqTrajectory, bin_size: int) -> IqTrajectory:
-    return IqTrajectory(
-        i=bin_average(traj.i, bin_size),
-        q=bin_average(traj.q, bin_size),
-        sample_rate=traj.sample_rate / bin_size,
-    )
-
-
-def integrate(traj: IqTrajectory) -> IqPoint:
-    """Collapse a single trajectory to its time-averaged I-Q point."""
-    if len(traj) == 0:
-        raise ConfigurationError("cannot integrate an empty trajectory")
-    if traj.i.ndim != 1:
-        raise ConfigurationError("integrate expects a single trajectory")
-    return IqPoint(i=float(np.mean(traj.i)), q=float(np.mean(traj.q)))

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import IqPoint
 from .errors import ConfigurationError, DataError
 from .pipeline import TrainedPipeline, integrated_points
 from .sim import STATES, RawShot
@@ -117,7 +116,7 @@ class DisagreementRecord:
     label: int
     primary_pred: int
     baseline_pred: int
-    point: IqPoint
+    point: tuple[float, float]
     had_transition: bool | None
 
 
@@ -157,9 +156,9 @@ def disagreements(
 ) -> DisagreementReport:
     """Partition the test set by correctness of the two classifiers.
 
-    Records carry each shot's plain integrated I-Q point (for plotting) and
-    whether its ground-truth path contains a transition, when paths are
-    attached.
+    Records carry each shot's plain integrated I-Q point, an ``(i, q)``
+    pair of floats (for plotting), and whether its ground-truth path
+    contains a transition, when paths are attached.
     """
     labels = np.array([s.label for s in shots], dtype=int)
     primary_preds = np.asarray(primary_preds, dtype=int)
@@ -175,7 +174,7 @@ def disagreements(
             label=int(labels[k]),
             primary_pred=int(primary_preds[k]),
             baseline_pred=int(baseline_preds[k]),
-            point=IqPoint(i=float(pts[k, 0]), q=float(pts[k, 1])),
+            point=(float(pts[k, 0]), float(pts[k, 1])),
             had_transition=None if s.true_path is None else s.true_path.has_transition,
         )
 

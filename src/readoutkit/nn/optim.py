@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..sim import is_finite_number
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,8 @@ class TrainConfig:
             raise ConfigurationError("decay_gamma must lie in (0, 1]")
         if self.decay_every < 1:
             raise ConfigurationError("decay_every must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError("seed must be an unsigned 64-bit integer")
 
     def to_dict(self) -> dict:
         return {
@@ -44,6 +49,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        """Settings from (part of) their :meth:`to_dict` form, defaults for
+        the rest.  Types are checked here and ranges in :meth:`validate`; an
+        unknown field or a value of the wrong type raises
+        ``ConfigurationError``."""
+        if not isinstance(d, Mapping) or not d.keys() <= cls.__dataclass_fields__.keys():
+            raise ConfigurationError(f"train block is not a mapping of TrainConfig fields: {d!r}")
+        for key, v in d.items():
+            if key == "shuffle":
+                ok = isinstance(v, bool)
+            elif key in ("learning_rate", "decay_gamma"):
+                ok = is_finite_number(v)
+            else:
+                ok = isinstance(v, Integral) and not isinstance(v, bool)
+            if not ok:
+                raise ConfigurationError(f"train field {key!r} has a bad type or value: {v!r}")
         return cls(**d)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dataio import canonical_json, sidecar_path
-from ..errors import FileFormatError
+from ..errors import DataError, FileFormatError
 from ..gmm import GmmClassifier
 from .dense import DenseNetwork, dense_param_count
 from .lstm import LstmNetwork, lstm_param_count
@@ -53,14 +53,18 @@ def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
 def _declared_count(arch, path: Path) -> int:
     """Parameter count an architecture block declares, checked before any
     model is built; ``FileFormatError`` unless the block is an object that
-    describes a model of a known kind with positive integer sizes."""
+    describes a model of a known kind with positive integer sizes, at least
+    one recurrent layer for an lstm, and a known output for a network."""
     kind = arch.get("kind") if isinstance(arch, dict) else None
     if kind not in ("gmm", "lstm", "dense"):
         raise FileFormatError(f"architecture block in {path} names no known model kind")
     keys = ("n_classes", "dim") if kind == "gmm" else ("input_dim", "output_dim")
     hidden = [] if kind == "gmm" else arch.get("hidden")
     sizes = [arch.get(k) for k in keys] + (hidden if isinstance(hidden, list) else [None])
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
+    valid = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes)
+    if kind != "gmm":
+        valid = valid and arch.get("output", "softmax") in ("softmax", "sigmoid")
+    if not valid or (kind == "lstm" and not hidden):
         raise FileFormatError(f"invalid {kind} architecture in {path}: {canonical_json(arch)}")
     if kind == "gmm":
         nc, dim = sizes
@@ -102,7 +106,10 @@ def load_model(path: str | Path):
     flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
 
     if arch["kind"] == "gmm":
-        return GmmClassifier.from_flat(arch, flat)
+        try:
+            return GmmClassifier.from_flat(arch, flat)
+        except DataError as e:
+            raise FileFormatError(f"corrupt gmm parameters in {path}: {e}") from e
     model = (LstmNetwork if arch["kind"] == "lstm" else DenseNetwork).from_arch(arch)
     pos = 0
     for p in model.param_arrays():

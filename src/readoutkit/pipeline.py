@@ -41,7 +41,6 @@ import copy
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,8 +55,8 @@ from .nn.lstm import LstmNetwork
 from .nn.optim import TrainConfig
 from .nn.serialize import load_model, save_model
 from .nn.train import train
-from .pathsig import batch_signature, path_transform, signature_length
-from .sim import Dataset, RawShot
+from .pathsig import batch_signature, path_transform
+from .sim import Dataset, RawShot, is_finite_number
 
 STAGE_OPS = ("bandpass", "demodulate", "bin", "path_transform", "integrate")
 MODEL_KINDS = ("gmm", "lstm", "dense")
@@ -71,12 +70,23 @@ FOLD_MAX_TERMS = 8
 SUM_BLOCK = 1 << 16
 
 
+def _is_size(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def normalize_descriptor(desc: dict) -> dict:
-    """Fill defaults and validate; returns a deep copy safe to serialize."""
+    """Fill defaults and validate; returns a deep copy safe to serialize.
+
+    Every field is checked for type and range, so a bad descriptor raises
+    ``ConfigurationError``.  Checks that need the trace length (a ``bin``
+    longer than the trajectory, ``path_transform`` weights of the wrong
+    length) run when the stages meet the data.
+    """
     if not isinstance(desc, dict):
         raise ConfigurationError("pipeline descriptor must be a mapping")
     d = copy.deepcopy(desc)
-    d.setdefault("name", "pipeline")
+    if not isinstance(d.setdefault("name", "pipeline"), str):
+        raise ConfigurationError("pipeline name must be a string")
     stages = d.get("stages")
     if not isinstance(stages, list) or not stages:
         raise ConfigurationError("descriptor needs a non-empty 'stages' list")
@@ -84,12 +94,12 @@ def normalize_descriptor(desc: dict) -> dict:
     if not isinstance(model, dict) or model.get("kind") not in MODEL_KINDS:
         raise ConfigurationError(f"model kind must be one of {MODEL_KINDS}")
     weighting = d.setdefault("weighting", {"kind": "uniform"})
-    if weighting.get("kind") not in WEIGHTING_KINDS:
+    if not isinstance(weighting, dict) or weighting.get("kind") not in WEIGHTING_KINDS:
         raise ConfigurationError(f"weighting kind must be one of {WEIGHTING_KINDS}")
     if weighting["kind"] == "gmm_confidence":
-        weighting.setdefault("floor", 0.0)
-        if not 0 <= weighting["floor"] <= 1:
-            raise ConfigurationError("weighting floor must lie in [0, 1]")
+        floor = weighting.setdefault("floor", 0.0)
+        if not (is_finite_number(floor) and 0 <= floor <= 1):
+            raise ConfigurationError("weighting floor must be a number in [0, 1]")
 
     demod_seen = 0
     for k, st in enumerate(stages):
@@ -104,8 +114,7 @@ def normalize_descriptor(desc: dict) -> dict:
             if "center" not in st or "half_width" not in st:
                 raise ConfigurationError("bandpass needs 'center' and 'half_width'")
             for key in ("center", "half_width"):
-                v = st[key]
-                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                if not is_finite_number(st[key]):
                     raise ConfigurationError(f"stage {k}: bandpass {key} must be a finite number")
             if st["half_width"] < 0:
                 raise ConfigurationError(f"stage {k}: bandpass half_width must be >= 0")
@@ -113,15 +122,21 @@ def normalize_descriptor(desc: dict) -> dict:
             demod_seen += 1
             if "frequency" not in st:
                 raise ConfigurationError("demodulate needs 'frequency'")
+            if not is_finite_number(st["frequency"]):
+                raise ConfigurationError(f"stage {k}: demodulate frequency must be a finite number")
         elif op == "bin":
             if not demod_seen:
                 raise ConfigurationError("bin must come after demodulate")
-            if not isinstance(st.get("size"), int) or st["size"] < 1:
+            if not _is_size(st.get("size")):
                 raise ConfigurationError("bin needs an integer 'size' >= 1")
         elif op == "path_transform":
             if not demod_seen:
                 raise ConfigurationError("path_transform must come after demodulate")
-            st.setdefault("weights", None)
+            w = st.setdefault("weights", None)
+            if w is not None and not (isinstance(w, list) and all(map(is_finite_number, w))):
+                raise ConfigurationError(
+                    f"stage {k}: path_transform weights must be null or a list of finite numbers"
+                )
         elif op == "integrate":
             if not demod_seen:
                 raise ConfigurationError("integrate must come after demodulate")
@@ -144,19 +159,23 @@ def normalize_descriptor(desc: dict) -> dict:
         if model["output"] not in ("softmax", "sigmoid"):
             raise ConfigurationError("model output must be 'softmax' or 'sigmoid'")
         if kind == "lstm":
-            model.setdefault("hidden", [16])
-            model.setdefault("output_bias", False)
+            hidden = model.setdefault("hidden", [16])
+            if not isinstance(model.setdefault("output_bias", False), bool):
+                raise ConfigurationError("lstm output_bias must be true or false")
         else:
-            model.setdefault("hidden", [32, 16, 8])
+            hidden = model.setdefault("hidden", [32, 16, 8])
             features = model.setdefault("features", {"type": "signature", "order": 5})
-            if features.get("type") not in ("signature", "flat"):
+            if not isinstance(features, dict) or features.get("type") not in ("signature", "flat"):
                 raise ConfigurationError("dense features must be 'signature' or 'flat'")
             if features["type"] == "signature":
-                features.setdefault("order", 5)
-                if not isinstance(features["order"], int) or features["order"] < 1:
+                if not _is_size(features.setdefault("order", 5)):
                     raise ConfigurationError("signature order must be an integer >= 1")
+        widths = isinstance(hidden, list) and all(map(_is_size, hidden))
+        if not widths or (kind == "lstm" and not hidden):
+            raise ConfigurationError(f"{kind} hidden must be a list of integer widths >= 1")
         d.setdefault("train", {})
-        TrainConfig.from_dict({**TrainConfig().to_dict(), **d["train"]}).validate()
+    if "train" in d:
+        TrainConfig.from_dict(d["train"]).validate()
     return d
 
 
@@ -189,33 +208,33 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]):
 
 
 def _apply_per_sample(x: np.ndarray, sample_rate: float, stages: list[dict]):
+    # I and Q travel as rows 0 and 1 of one array, so each stage runs once
     rate = sample_rate
-    i = q = None
+    iq = None
     kind = "raw"
     for st in stages:
         op = st["op"]
         if op == "bandpass":
             x = dsp.bandpass(x, rate, st["center"], st["half_width"])
         elif op == "demodulate":
-            traj = dsp.demodulate(x, rate, st["frequency"])
-            i, q = traj.i, traj.q
+            iq = dsp.demodulate(x, rate, st["frequency"])
             kind = "traj"
         elif op == "bin":
-            i = dsp.bin_average(i, st["size"])
-            q = dsp.bin_average(q, st["size"])
+            if st["size"] > iq.shape[-1]:
+                raise ConfigurationError(
+                    f"bin size {st['size']} exceeds the {iq.shape[-1]}-step trajectory"
+                )
+            iq = dsp.bin_average(iq, st["size"])
             rate = rate / st["size"]
         elif op == "path_transform":
             w = st.get("weights")
-            w = None if w is None else np.asarray(w, dtype=float)
-            i = path_transform(i, w)
-            q = path_transform(q, w)
+            iq = path_transform(iq, None if w is None else np.asarray(w, dtype=float))
         elif op == "integrate":
-            i = i.mean(axis=-1)
-            q = q.mean(axis=-1)
+            iq = iq.mean(axis=-1)
             kind = "point"
     if kind == "raw":
         raise ConfigurationError("stage list never demodulated the trace")
-    return kind, np.stack([i, q], axis=-1), rate
+    return kind, np.ascontiguousarray(np.moveaxis(iq, 0, -1)), rate
 
 
 @functools.lru_cache(maxsize=16)
@@ -266,14 +285,6 @@ def _fold(x: np.ndarray, bins: np.ndarray, kind: str, response: np.ndarray, rate
     for r in range(0, len(x), step):
         out[r : r + step] = (coeffs[r : r + step, :, None] * flat).sum(axis=1)
     return kind, out.reshape((len(x),) + response.shape[1:]), rate
-
-
-def preprocess_shot(shot: RawShot, stages: list[dict]):
-    """Single-shot convenience wrapper returning rich types."""
-    kind, arr, rate = apply_stages(shot.samples, shot.sample_rate, stages)
-    if kind == "point":
-        return dsp.IqPoint(i=float(arr[0]), q=float(arr[1]))
-    return dsp.IqTrajectory(i=arr[:, 0], q=arr[:, 1], sample_rate=rate)
 
 
 def preprocess_batch(shots: list[RawShot], stages: list[dict], chunk: int = CHUNK):
@@ -424,7 +435,7 @@ def train_pipeline(
     else:
         weights = None
 
-    tc = TrainConfig.from_dict({**TrainConfig().to_dict(), **desc.get("train", {})})
+    tc = TrainConfig.from_dict(desc.get("train", {}))
     mdesc = desc["model"]
     if mdesc["kind"] == "lstm":
         model = LstmNetwork(

@@ -66,7 +66,7 @@ class StatePath:
         return self.segments[-1][0]
 
 
-def _is_number(value) -> bool:
+def is_finite_number(value) -> bool:
     """A real number that is finite as a float; bools are not numbers."""
     finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
     return finite and not isinstance(value, bool)
@@ -111,6 +111,11 @@ class SimConfig:
     def validate(self) -> None:
         if self.duration <= 0 or self.sample_rate <= 0:
             raise ConfigurationError("duration and sample_rate must be positive")
+        if not math.isfinite(self.duration * self.sample_rate) or self.n_samples < 1:
+            raise ConfigurationError(
+                f"duration * sample_rate must give at least one sample and be finite, "
+                f"not {self.duration * self.sample_rate}"
+            )
         if not self.f_if < self.sample_rate / 2:
             raise ConfigurationError(
                 f"f_if={self.f_if} must lie strictly below Nyquist "
@@ -161,14 +166,16 @@ class SimConfig:
             if key == "seed":
                 ok = isinstance(v, Integral) and not isinstance(v, bool)
             elif key == "t1":
-                ok = isinstance(v, (list, tuple)) and all(t is None or _is_number(t) for t in v)
+                ok = isinstance(v, (list, tuple)) and all(
+                    t is None or is_finite_number(t) for t in v
+                )
             elif key == "state_envelopes":
                 ok = isinstance(v, (list, tuple)) and all(
-                    isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_number, e))
+                    isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_finite_number, e))
                     for e in v
                 )
             else:
-                ok = _is_number(v)
+                ok = is_finite_number(v)
             if not ok:
                 raise ConfigurationError(f"config field {key!r} has a bad type or value: {v!r}")
         if "t1" in d:
@@ -439,10 +446,20 @@ def regenerate_paths(
     its path's prepared state as label, and the first shot of each state
     must equal, float32 byte for byte, the trace re-rendered from the
     replayed stream; otherwise ``DataError``.  Each shot then gets its true
-    path and its ``shot_id`` (the attempt id) back.
+    path and its ``shot_id`` (the attempt id) back.  Shots of another
+    length or rate than the config's are refused before anything is
+    rendered, so a config cannot make the check allocate more than the
+    shots hold.
     """
-    if shots is not None and len(shots) != 3 * shots_per_state:
-        raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")
+    if shots is not None:
+        if len(shots) != 3 * shots_per_state:
+            raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")
+        for shot in shots:
+            if len(shot.samples) != cfg.n_samples or shot.sample_rate != cfg.sample_rate:
+                raise DataError(
+                    f"config renders {cfg.n_samples} samples at rate {cfg.sample_rate}, "
+                    f"not the shots' {len(shot.samples)} at {shot.sample_rate}"
+                )
     render = _Renderer(cfg)
     paths, attempts = [], []
     for k, (attempt, path, rng) in enumerate(_scan(cfg, shots_per_state)):

@@ -237,6 +237,22 @@ def test_simulate_config_with_wrong_types_exits_2(workdir, capsys, content):
     assert not (workdir / "x.rkd").exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param({"duration": 1e200, "sample_rate": 1e200}, id="samples-overflow"),
+        pytest.param({"duration": 0.1}, id="zero-samples"),
+    ],
+)
+def test_simulate_config_without_a_finite_sample_count_exits_2(workdir, capsys, edit):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({**QUICK_CONFIG, **edit}))
+    rc = main(["simulate", "--config", str(bad), "--out", str(workdir / "x.rkd")])
+    assert rc == 2
+    assert "duration * sample_rate" in capsys.readouterr().err
+    assert not (workdir / "x.rkd").exists()
+
+
 def test_compare_with_wrongly_typed_sidecar_exits_4(workdir, capsys):
     data = simulate(workdir)
     sidecar = workdir / "shots.rkd.json"

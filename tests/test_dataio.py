@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ def test_regeneration_rejects_sidecar_that_does_not_reproduce(tmp_path, quiet_da
     assert len(load_dataset(path)) == len(quiet_dataset)
     with pytest.raises(DataError, match="does not reproduce"):
         load_dataset(path, regenerate=True)
+
+
+def test_regeneration_checks_sample_count_before_rendering(tmp_path):
+    # a sidecar whose config renders 4e6 samples for a 40-sample file is
+    # refused before the renderer builds tables of that length
+    path = tmp_path / "shots.rkd"
+    save_dataset(generate_dataset(SimConfig(duration=20.0, seed=2), shots_per_state=2), path)
+    meta = json.loads(sidecar_path(path).read_text())
+    meta["config"]["duration"] = 2e6
+    sidecar_path(path).write_text(json.dumps(meta))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="4000000 samples"):
+            load_dataset(path, regenerate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_regeneration_rejects_edited_samples(tmp_path, quiet_dataset):

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from readoutkit import (
-    ConfigurationError,
-    IqTrajectory,
-    bandpass,
-    bin_average,
-    bin_trajectory,
-    demodulate,
-    integrate,
-    spectrum,
-)
+from readoutkit import bandpass, bin_average, demodulate
 from readoutkit.dsp import forward_fft, inverse_fft
 
 
@@ -23,9 +14,9 @@ def test_demodulate_unit_tone_gives_unit_point():
     # 100 carrier periods in the window: the double-frequency term averages
     # out exactly
     x = tone(0.1, 2.0, 2000)
-    traj = demodulate(x, 2.0, 0.1)
-    assert abs(np.mean(traj.i) - 1.0) < 1e-12
-    assert abs(np.mean(traj.q)) < 1e-12
+    i, q = demodulate(x, 2.0, 0.1)
+    assert abs(np.mean(i) - 1.0) < 1e-12
+    assert abs(np.mean(q)) < 1e-12
 
 
 @pytest.mark.parametrize("phase", [0.3, -1.2, 2.9])
@@ -33,18 +24,17 @@ def test_demodulate_recovers_phase(phase):
     # a tone cos(theta + phase) is the real part of the envelope
     # 1.7 * exp(i * phase) on the carrier
     x = tone(0.1, 2.0, 2000, amp=1.7, phase=phase)
-    traj = demodulate(x, 2.0, 0.1)
-    assert abs(np.mean(traj.i) - 1.7 * np.cos(phase)) < 1e-12
-    assert abs(np.mean(traj.q) - 1.7 * np.sin(phase)) < 1e-12
+    i, q = demodulate(x, 2.0, 0.1)
+    assert abs(np.mean(i) - 1.7 * np.cos(phase)) < 1e-12
+    assert abs(np.mean(q) - 1.7 * np.sin(phase)) < 1e-12
 
 
 def test_demodulate_batch_matches_single(rng):
     block = rng.normal(size=(5, 400))
     batch = demodulate(block, 2.0, 0.07)
+    assert batch.shape == (2, 5, 400)
     for k in range(5):
-        single = demodulate(block[k], 2.0, 0.07)
-        assert np.array_equal(batch.i[k], single.i)
-        assert np.array_equal(batch.q[k], single.q)
+        assert np.array_equal(batch[:, k], demodulate(block[k], 2.0, 0.07))
 
 
 def test_bin_average_examples():
@@ -61,53 +51,11 @@ def test_bin_average_batch_rows(rng):
     assert np.allclose(out[:, 0], x[:, :4].mean(axis=1))
 
 
-def test_bin_trajectory_scales_rate():
-    traj = IqTrajectory(i=np.arange(8.0), q=np.arange(8.0), sample_rate=2.0)
-    binned = bin_trajectory(traj, 4)
-    assert binned.sample_rate == 0.5
-    assert len(binned) == 2
-
-
-def test_integrate_example():
-    traj = IqTrajectory(
-        i=np.array([0.0, 2.0]), q=np.array([-1.0, 1.0]), sample_rate=1.0
-    )
-    point = integrate(traj)
-    assert point.i == 1.0
-    assert point.q == 0.0
-
-
-def test_integrate_rejects_empty_and_batched():
-    with pytest.raises(ConfigurationError):
-        integrate(IqTrajectory(i=np.array([]), q=np.array([]), sample_rate=1.0))
-    with pytest.raises(ConfigurationError):
-        integrate(
-            IqTrajectory(i=np.zeros((2, 4)), q=np.zeros((2, 4)), sample_rate=1.0)
-        )
-
-
 def test_fft_round_trip(rng):
     for _ in range(20):
         n = int(rng.integers(16, 700))
         x = rng.normal(size=n)
         assert np.allclose(inverse_fft(forward_fft(x)), x, atol=1e-10)
-
-
-def test_spectrum_preserves_power(rng):
-    for n in (256, 255, 1000):
-        x = rng.normal(size=n)
-        spec = spectrum(x, 2.0)
-        assert abs(np.sum(spec.mag**2) - np.sum(x**2)) < 1e-9 * np.sum(x**2)
-
-
-def test_spectrum_locates_tone():
-    n, rate, f = 2000, 2.0, 0.1
-    x = tone(f, rate, n, amp=3.0)
-    spec = spectrum(x, rate)
-    peak = np.argmax(spec.mag)
-    assert abs(spec.freqs[peak] - f) < 1e-12
-    # a pure tone's power concentrates in one folded bin
-    assert abs(spec.mag[peak] - 3.0 * np.sqrt(n / 2.0)) < 1e-9
 
 
 def test_bandpass_preserves_in_band_tone():
@@ -149,9 +97,12 @@ def test_bandpass_keeps_only_selected_bins(rng):
     assert np.max(np.abs(spec_y[outside])) < 1e-9
 
 
-def test_trajectory_array_layout():
-    traj = IqTrajectory(i=np.array([1.0, 2.0]), q=np.array([3.0, 4.0]), sample_rate=1.0)
-    arr = traj.as_array()
-    assert arr.shape == (2, 2)
-    assert np.array_equal(arr[:, 0], traj.i)
-    assert np.array_equal(arr[:, 1], traj.q)
+def test_trajectory_array_layout(rng):
+    # one array, I in row 0 and Q in row 1, each the exact product of the
+    # trace with the doubled carrier
+    x = rng.normal(size=(3, 50))
+    iq = demodulate(x, 2.0, 0.1)
+    ph = 2.0 * np.pi * 0.1 * (np.arange(50) / 2.0)
+    assert iq.shape == (2, 3, 50)
+    assert iq[0].tobytes() == (2.0 * x * np.cos(ph)).tobytes()
+    assert iq[1].tobytes() == (-2.0 * x * np.sin(ph)).tobytes()

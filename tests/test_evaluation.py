@@ -165,7 +165,8 @@ def test_disagreement_partition(quiet_dataset):
     rec = rep.primary_only_correct[0]
     assert rec.label == labels[0]
     assert rec.baseline_pred == baseline[0]
-    assert np.isfinite(rec.point.i) and np.isfinite(rec.point.q)
+    i, q = rec.point
+    assert np.isfinite(i) and np.isfinite(q)
     # fixture simulates without relaxation, so no path ever leaves its state
     assert rep.transition_fraction() == 0.0
     summary = rep.summary()

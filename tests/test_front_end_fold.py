@@ -174,6 +174,53 @@ def test_stage_lists_without_bandpass_match_oracle_bytes(block, name):
     assert np.array_equal(arr, o_arr)
 
 
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [],
+        [{"op": "integrate"}],
+        [{"op": "bin", "size": 40}],
+        [{"op": "bin", "size": 40}, {"op": "path_transform", "weights": None}],
+        [{"op": "bin", "size": 100}, {"op": "path_transform", "weights": [0.5, 2.0] * 10}],
+        [{"op": "bin", "size": 40}, {"op": "integrate"}],
+    ],
+    ids=["demod", "integrate", "bin", "bin-path_transform", "weighted", "bin-integrate"],
+)
+def test_one_iq_array_matches_per_channel_bytes(block, tail):
+    """The chain carries I and Q as rows of one array; the oracle runs each
+    stage on I and on Q apart and stacks them at the end."""
+    stages = [demod()] + tail
+    kind, arr, rate = apply_stages(block, 2.0, stages)
+    o_kind, o_arr, o_rate = oracle_stages(block, 2.0, stages)
+    assert (kind, rate) == (o_kind, o_rate)
+    assert arr.flags.c_contiguous
+    assert arr.shape == o_arr.shape
+    assert arr.tobytes() == o_arr.tobytes()
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"],
+        [bp(), demod(), {"op": "integrate"}],
+        [bp(0.1, 0.02), demod(), {"op": "bin", "size": 40}, {"op": "path_transform"}],
+    ],
+    ids=["bandpass_lstm", "integrate", "path_transform"],
+)
+def test_fold_responses_match_per_channel_bytes(stages):
+    """The fold's response table is the rest of the list run on the basis
+    tones irfft(e_k) and irfft(1j * e_k), rows 2j and 2j + 1."""
+    n = 2000
+    bins, kind, response, rate = band_response(stages, n)
+    unit = np.zeros((2 * len(bins), n // 2 + 1), dtype=complex)
+    unit[0::2][np.arange(len(bins)), bins] = 1.0
+    unit[1::2][np.arange(len(bins)), bins] = 1j
+    tones = np.fft.irfft(unit, n=n, axis=-1)
+    o_kind, o_response, o_rate = oracle_stages(tones, 2.0, stages[1:])
+    assert (kind, rate) == (o_kind, o_rate)
+    assert response.tobytes() == o_response.tobytes()
+
+
 @pytest.mark.parametrize("n", [2000, 1999, 400, 7])
 def test_band_bins_is_the_complex_dft_keep_rule(n):
     for center, half_width in ((0.1, 0.005), (0.0, 0.01), (1.0, 0.01), (0.3, 0.3)):

@@ -2,7 +2,8 @@
 
 The contract under test: whatever the bytes or values, only
 ``ReadoutKitError`` subclasses escape a loader, and the CLI answers a bad
-input with exit 2 or 4, never a traceback.  The Hypothesis settings are
+input with exit 2 or 4, never a traceback.  A model file is refused only
+as corrupt (``FileFormatError``, exit 4).  The Hypothesis settings are
 derandomized with a bounded example count, so every run tries the same
 inputs and the module takes a few seconds.
 """
@@ -14,13 +15,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readoutkit import SimConfig, generate_dataset, load_dataset, save_dataset
 from readoutkit.cli import main
 from readoutkit.dataio import DATASET_MAGIC, sidecar_path
-from readoutkit.errors import ReadoutKitError
+from readoutkit.errors import FileFormatError, ReadoutKitError
 from readoutkit.nn import LstmNetwork, lstm_param_count
 from readoutkit.nn.dense import dense_param_count
 from readoutkit.nn.serialize import MODEL_MAGIC, load_model, save_model
@@ -134,11 +135,14 @@ def test_synthetic_dataset_headers(files, count, n_samples, rate, exact, extra):
 
 
 def _check_model(files, raw: bytes):
+    """A model file either loads or is refused as corrupt: exit 4."""
     path = files["dir"] / "fuzzed.rkm"
     path.write_bytes(raw)
     sidecar_path(path).write_bytes(files["model_sidecar"])
-    if not _loads_or_refuses(lambda: load_model(path)):
-        assert _cli("evaluate", "--model", str(path), "--data", str(files["data"])) in (2, 4)
+    try:
+        load_model(path)
+    except FileFormatError:
+        assert _cli("evaluate", "--model", str(path), "--data", str(files["data"])) == 4
 
 
 @pytest.mark.parametrize("which", ["model_bytes", "lstm_bytes"])
@@ -178,15 +182,20 @@ def _edited(arch, edits, dropped):
     return out
 
 
+_LSTM_ARCH = {"kind": "lstm", "input_dim": 2, "hidden": [3], "output_dim": 3, "output_bias": True}
+_DENSE_ARCH = {
+    "kind": "dense", "input_dim": 4, "hidden": [3, 2], "output_dim": 3, "output": "sigmoid"
+}
+
+
 # valid blocks of each kind, with a few keys replaced or dropped
 ARCHITECTURES = st.builds(
     _edited,
     st.sampled_from(
         [
             {"kind": "gmm", "n_classes": 3, "dim": 2},
-            {"kind": "lstm", "input_dim": 2, "hidden": [3], "output_dim": 3, "output_bias": True},
-            {"kind": "dense", "input_dim": 4, "hidden": [3, 2], "output_dim": 3,
-             "output": "sigmoid"},
+            _LSTM_ARCH,
+            _DENSE_ARCH,
         ]
     ),
     st.dictionaries(st.sampled_from(ARCH_KEYS) | st.text(max_size=4), ARCH_VALUES, max_size=2),
@@ -212,6 +221,9 @@ def _declared(arch) -> int:
 
 
 @FUZZ
+@example(arch={**_LSTM_ARCH, "hidden": []}, count=None, seed=0)
+@example(arch={**_LSTM_ARCH, "output": "tanh"}, count=None, seed=0)
+@example(arch={**_DENSE_ARCH, "output": None}, count=None, seed=0)
 @given(
     arch=ARCHITECTURES | JSON_VALUES,
     count=st.none() | st.integers(0, 80),

@@ -7,13 +7,10 @@ from readoutkit import (
     FileFormatError,
     GmmClassifier,
     IncompatibilityError,
-    IqPoint,
-    IqTrajectory,
     LstmNetwork,
     TrainedPipeline,
     normalize_descriptor,
     preprocess_batch,
-    preprocess_shot,
     standard_pipelines,
     train_pipeline,
 )
@@ -150,23 +147,11 @@ def test_apply_stages_demod_then_integrate_matches_manual(quiet_dataset):
     stages = [demod_stage(0.1), {"op": "integrate"}]
     kind, arr, rate = apply_stages(shot.samples, shot.sample_rate, stages)
     assert kind == "point"
-    from readoutkit import demodulate, integrate
+    from readoutkit import demodulate
 
-    traj = demodulate(np.asarray(shot.samples, dtype=float), shot.sample_rate, 0.1)
-    pt = integrate(traj)
-    assert abs(arr[0] - pt.i) < 1e-12
-    assert abs(arr[1] - pt.q) < 1e-12
-
-
-def test_preprocess_shot_returns_rich_types(quiet_dataset):
-    shot = quiet_dataset.shots[0]
-    traj = preprocess_shot(shot, [demod_stage(), {"op": "bin", "size": 10}])
-    assert isinstance(traj, IqTrajectory)
-    assert len(traj) == len(shot.samples) // 10
-    assert traj.sample_rate == shot.sample_rate / 10
-
-    point = preprocess_shot(shot, [demod_stage(), {"op": "integrate"}])
-    assert isinstance(point, IqPoint)
+    i, q = demodulate(np.asarray(shot.samples, dtype=float), shot.sample_rate, 0.1)
+    assert abs(arr[0] - np.mean(i)) < 1e-12
+    assert abs(arr[1] - np.mean(q)) < 1e-12
 
 
 def test_preprocess_batch_matches_per_shot(quiet_dataset):
@@ -180,8 +165,8 @@ def test_preprocess_batch_matches_per_shot(quiet_dataset):
     assert kind == "traj"
     assert arr.shape[0] == 7
     for k, shot in enumerate(shots):
-        single = preprocess_shot(shot, stages)
-        assert np.allclose(arr[k], single.as_array(), atol=1e-12)
+        _, single, _ = apply_stages(shot.samples, shot.sample_rate, stages)
+        assert np.allclose(arr[k], single, atol=1e-12)
 
 
 def test_preprocess_batch_chunking_invariant(quiet_dataset):
