@@ -45,6 +45,8 @@ class GmmClassifier:
             raise ConfigurationError("points must be (n, dim)")
         if y.shape != (X.shape[0],):
             raise ConfigurationError("labels must match points")
+        if not np.isfinite(X).all():
+            raise DataError("cannot fit on non-finite points")
         classes = np.unique(y)
         n_classes = int(classes.max()) + 1
         if set(classes.tolist()) != set(range(n_classes)):

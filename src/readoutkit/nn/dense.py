@@ -22,6 +22,22 @@ def dense_param_count(input_dim: int, hidden: tuple[int, ...], output_dim: int) 
     return count
 
 
+# rows per block of a weight-gradient sum; a fixed block keeps the bytes
+# independent of how BLAS would split one long K = batch product
+GRAD_ROW_BLOCK = 64
+
+
+def _blocked_grads(a: np.ndarray, delta: np.ndarray):
+    """``(a.T @ delta, delta.sum(axis=0))``, each summed over fixed row
+    blocks in row order."""
+    gw = np.zeros((a.shape[1], delta.shape[1]))
+    gb = np.zeros(delta.shape[1])
+    for s in range(0, delta.shape[0], GRAD_ROW_BLOCK):
+        gw += a[s : s + GRAD_ROW_BLOCK].T @ delta[s : s + GRAD_ROW_BLOCK]
+        gb += delta[s : s + GRAD_ROW_BLOCK].sum(axis=0)
+    return gw, gb
+
+
 class DenseNetwork:
     """Fully connected net: input -> hidden (SELU) ... -> linear logits."""
 
@@ -106,8 +122,7 @@ class DenseNetwork:
         for k in range(len(self.weights) - 1, -1, -1):
             if k < n_hidden:
                 delta = delta * selu_grad(pre[k])
-            grads_w[k] = acts[k].T @ delta
-            grads_b[k] = delta.sum(axis=0)
+            grads_w[k], grads_b[k] = _blocked_grads(acts[k], delta)
             if k > 0:
                 delta = delta @ self.weights[k].T
         out = []

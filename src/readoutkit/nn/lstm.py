@@ -1,8 +1,8 @@
 """Batched multi-layer LSTM classifier with exact backpropagation through time.
 
-Shapes follow the (time, batch, feature) convention.  Each layer keeps its
-input and recurrent weights in single combined matrices with gate blocks
-ordered input, forget, cell, output:
+The network takes (time, batch, feature) input.  Each layer keeps its input
+and recurrent weights in single combined matrices with gate blocks ordered
+input, forget, cell, output:
 
     z = x_t @ Wx + h_{t-1} @ Wh + b            (batch, 4*hidden)
     i, f, o = sigmoid of their blocks;  g = tanh of its block
@@ -11,18 +11,41 @@ ordered input, forget, cell, output:
 Initial hidden and cell states are zero.  Classification logits are a linear
 map of the final hidden state, bias-free by default.
 
+Inside the network the layers run gate-major, with the batch on the last
+axis: a layer sees its input as (T, D, N), computes each step's gates as one
+(4*hidden, N) slab ``z = Wx.T @ x_t + Wh.T @ h_{t-1} + b``, and keeps states
+(T, hidden, N) and gates (T, 4*hidden, N).  Each gate block is then one
+contiguous (hidden, N) slab, so the per-step elementwise work, forward and
+backward, runs on contiguous memory, written in place into preallocated
+buffers; the backward keeps the per-gate formulas' operation order.
+
 The forward pass evaluates all four gate blocks with one ``tanh`` per step,
 written in place into the gate cache.  It relies on the identity that
 ``activations.sigmoid`` computes, ``sigmoid(z) = 0.5 * (tanh(0.5 * z) + 1)``:
 the i, f and o columns of ``Wx``, ``Wh`` and ``b`` are halved once per call,
-so ``tanh`` sees ``0.5 * z`` for those blocks, and a per-column offset (1 or
-0) and scale (0.5 or 1) then finish the three sigmoids and leave the cell
-block as plain ``tanh(z)``.  Halving is a power-of-two scale, so every
-product and partial sum comes out exactly half as large and the matmul
-rounds identically; the remaining operations run in the same order as
+so ``tanh`` sees ``0.5 * z`` for those blocks, and a per-row offset (1 or 0)
+and scale (0.5 or 1) then finish the three sigmoids and leave the cell block
+as plain ``tanh(z)``.  Halving is a power-of-two scale, so every product and
+partial sum comes out exactly half as large and the matmul rounds
+identically; the remaining operations run in the same order as
 ``activations.sigmoid``.  The gates, and so the logits, caches and
-gradients, are bit-identical to evaluating each block on its own, except
-where a halved value would fall into the subnormal range.
+gradients, are bit-identical to evaluating each block on its own in the
+same layout, except where a halved value would fall into the subnormal
+range.
+
+The backward sums every weight gradient in a fixed order: per step it adds
+``x_t @ dz_t.T`` to ``dWx``, ``h_{t-1} @ dz_t.T`` to ``dWh`` and
+``dz_t.sum(axis=1)`` to ``db``, from the last step to the first.  Each
+product has an inner dimension of one batch, never ``T * N``; a BLAS library
+may split a long inner dimension differently at each thread count, which
+rounds differently, so the trained bytes would depend on the thread count
+(``tests/test_thread_invariance.py`` checks this).
+
+Against the earlier row-major layout (states (T, N, hidden), gates
+(T, N, 4*hidden), ``h_t @ Wh`` and flat ``T * N`` gradient products) the
+results agree to rounding, not always bit for bit: a transposed product may
+take another BLAS kernel path, and the gradient sums run in another order.
+Hidden states differ by about 1e-16 and gradients by a few 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -31,6 +54,10 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .activations import sigmoid, softmax
+
+
+# widest batch whose sigmoid finish uses full (4*hidden, N) operands
+FULL_OPERAND_MAX_BATCH = 512
 
 
 def lstm_param_count(
@@ -61,71 +88,108 @@ class _Layer:
         self.b[hidden_dim : 2 * hidden_dim] = 1.0
 
     def forward(self, x: np.ndarray):
-        T, N, _ = x.shape
+        """x is (T, input_dim, N); returns the (T, hidden, N) states and cache."""
+        T, _, N = x.shape
         h = self.hidden_dim
         # one tanh covers all four gate blocks; the module docstring says why
         # the result is exact
         scale = np.full(4 * h, 0.5)
         scale[2 * h : 3 * h] = 1.0
-        offset = np.ones(4 * h)
-        offset[2 * h : 3 * h] = 0.0
-        Wh = self.Wh * scale
-        # input projections for every timestep in one matmul; each step's
-        # gates are then computed in place over its own slice
-        gates = (x.reshape(T * N, -1) @ (self.Wx * scale)).reshape(T, N, 4 * h)
-        gates += self.b * scale
-        cs = np.empty((T, N, h))
-        tanh_cs = np.empty((T, N, h))
-        hs = np.empty((T, N, h))
-        z = np.empty((N, 4 * h))
-        ig = np.empty((N, h))
-        h_t = c_t = np.zeros((N, h))
+        WhT = np.ascontiguousarray((self.Wh * scale).T)
+        # input projections for every timestep; each step's gates are then
+        # computed in place over its own (4h, N) slab
+        gates = np.matmul((self.Wx * scale).T, x)
+        gates += (self.b * scale)[:, None]
+        cs = np.empty((T, h, N))
+        tanh_cs = np.empty((T, h, N))
+        hs = np.empty((T, h, N))
+        z = np.empty((4 * h, N))
+        ig = np.empty((h, N))
+        # the sigmoid finish: full-size operands run fastest while a step's
+        # slab stays in cache; wider slabs broadcast one value per gate block
+        if N <= FULL_OPERAND_MAX_BATCH:
+            offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(float)
+            scale = np.repeat(scale[:, None], N, axis=1)
+            blocks = gates
+        else:
+            offset = (scale[::h] != 1.0).astype(float)[:, None, None]
+            scale = scale[::h, None, None]
+            blocks = gates.reshape(T, 4, h, N)
+        h_t = c_t = np.zeros((h, N))
         for t in range(T):
             g = gates[t]
-            np.matmul(h_t, Wh, out=z)
+            np.matmul(WhT, h_t, out=z)
             g += z
             np.tanh(g, out=g)
-            g += offset
-            g *= scale
-            c_t = np.multiply(g[:, h : 2 * h], c_t, out=cs[t])
-            c_t += np.multiply(g[:, :h], g[:, 2 * h : 3 * h], out=ig)
-            h_t = np.multiply(g[:, 3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=hs[t])
+            blocks[t] += offset
+            blocks[t] *= scale
+            c_t = np.multiply(g[h : 2 * h], c_t, out=cs[t])
+            c_t += np.multiply(g[:h], g[2 * h : 3 * h], out=ig)
+            h_t = np.multiply(g[3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=hs[t])
         cache = (x, gates, cs, tanh_cs, hs)
         return hs, cache
 
     def backward(self, cache, dh_seq: np.ndarray, input_grad: bool = True):
-        """``(dx, (dWx, dWh, db))``; ``dx`` is ``None`` unless ``input_grad``."""
+        """``(dx, (dWx, dWh, db))`` for the (T, hidden, N) state gradients
+        ``dh_seq``; ``dx`` is ``None`` unless ``input_grad``."""
         x, gates, cs, tanh_cs, hs = cache
-        T, N, _ = x.shape
+        T, D, N = x.shape
         h = self.hidden_dim
-        # sequential pass computes per-step gate deltas; the weight gradients
-        # are then single flattened matmuls over all timesteps
-        dzs = np.empty((T, N, 4 * h))
-        dh_rec = np.zeros((N, h))
-        dc = np.zeros((N, h))
+        dWx = np.zeros((D, 4 * h))
+        dWh = np.zeros((h, 4 * h))
+        db = np.zeros(4 * h)
+        dWx_t = np.empty_like(dWx)
+        dWh_t = np.empty_like(dWh)
+        dx = np.empty(x.shape) if input_grad else None
+        dz = np.empty((4 * h, N))
+        dzi, dzf, dzg, dzo = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
+        dh_rec = np.zeros((h, N))
+        dh = np.empty((h, N))
+        dc = np.zeros((h, N))
+        one_minus = np.empty((4 * h, N))
+        a = np.empty((h, N))
+        zero = np.zeros((h, N))
         for t in range(T - 1, -1, -1):
-            gi = gates[t, :, :h]
-            gf = gates[t, :, h : 2 * h]
-            gg = gates[t, :, 2 * h : 3 * h]
-            go = gates[t, :, 3 * h :]
+            g = gates[t]
+            gi, gf, gg, go = g[:h], g[h : 2 * h], g[2 * h : 3 * h], g[3 * h :]
             tc = tanh_cs[t]
-            c_prev = cs[t - 1] if t > 0 else 0.0
+            c_prev = cs[t - 1] if t > 0 else zero
+            np.subtract(1.0, g, out=one_minus)
 
-            dh = dh_seq[t] + dh_rec
-            dc = dc + dh * go * (1.0 - tc * tc)
-            dz = dzs[t]
-            dz[:, :h] = (dc * gg) * gi * (1.0 - gi)
-            dz[:, h : 2 * h] = (dc * c_prev) * gf * (1.0 - gf)
-            dz[:, 2 * h : 3 * h] = (dc * gi) * (1.0 - gg * gg)
-            dz[:, 3 * h :] = (dh * tc) * go * (1.0 - go)
-            dc = dc * gf
-            dh_rec = dz @ self.Wh.T
+            # the same operations, in the same order, as the per-gate formulas
+            # dc += (dh * go) * (1 - tc * tc)
+            np.add(dh_seq[t], dh_rec, out=dh)
+            np.multiply(tc, tc, out=a)
+            np.subtract(1.0, a, out=a)
+            a *= np.multiply(dh, go, out=dzo)
+            dc += a
+            # dz_i = ((dc * gg) * gi) * (1 - gi)
+            np.multiply(dc, gg, out=dzi)
+            dzi *= gi
+            dzi *= one_minus[:h]
+            # dz_f = ((dc * c_prev) * gf) * (1 - gf)
+            np.multiply(dc, c_prev, out=dzf)
+            dzf *= gf
+            dzf *= one_minus[h : 2 * h]
+            # dz_g = (dc * gi) * (1 - gg * gg)
+            np.multiply(gg, gg, out=a)
+            np.subtract(1.0, a, out=a)
+            np.multiply(dc, gi, out=dzg)
+            dzg *= a
+            # dz_o = ((dh * tc) * go) * (1 - go)
+            np.multiply(dh, tc, out=dzo)
+            dzo *= go
+            dzo *= one_minus[3 * h :]
+            dc *= gf
+            np.matmul(self.Wh, dz, out=dh_rec)
 
-        dz_flat = dzs.reshape(T * N, 4 * h)
-        dWx = x.reshape(T * N, -1).T @ dz_flat
-        dWh = hs[:-1].reshape((T - 1) * N, h).T @ dzs[1:].reshape((T - 1) * N, 4 * h)
-        db = dz_flat.sum(axis=0)
-        dx = (dz_flat @ self.Wx.T).reshape(x.shape) if input_grad else None
+            # weight gradients: one K = N product per step, summed in t order
+            dWx += np.matmul(x[t], dz.T, out=dWx_t)
+            if t > 0:
+                dWh += np.matmul(hs[t - 1], dz.T, out=dWh_t)
+            db += dz.sum(axis=1)
+            if input_grad:
+                np.matmul(self.Wx, dz, out=dx[t])
         return dx, (dWx, dWh, db)
 
 
@@ -207,12 +271,13 @@ class LstmNetwork:
                 f"expected (T, N, {self.input_dim}) input, got {x.shape}"
             )
         caches = []
-        seq = x
+        # a (T, D, N) view: the layers run batch-last
+        seq = x.transpose(0, 2, 1)
         for layer in self.layers:
             seq, cache = layer.forward(seq)
             caches.append(cache)
         h_final = seq[-1]
-        logits = h_final @ self.W_out
+        logits = h_final.T @ self.W_out
         if self.b_out is not None:
             logits = logits + self.b_out
         return logits, (caches, h_final, x.shape)
@@ -221,11 +286,11 @@ class LstmNetwork:
         """Gradients aligned with :meth:`param_arrays`."""
         caches, h_final, x_shape = cache
         T, N, _ = x_shape
-        dW_out = h_final.T @ dlogits
+        dW_out = h_final @ dlogits
         db_out = dlogits.sum(axis=0) if self.b_out is not None else None
 
-        dh_seq = np.zeros((T, N, self.hidden[-1]))
-        dh_seq[-1] = dlogits @ self.W_out.T
+        dh_seq = np.zeros((T, self.hidden[-1], N))
+        dh_seq[-1] = self.W_out @ dlogits.T
         layer_grads = []
         for i in reversed(range(len(self.layers))):
             # the bottom layer's input gradient would be the data's: unused

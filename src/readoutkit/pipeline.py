@@ -419,6 +419,8 @@ def train_pipeline(
     desc = normalize_descriptor(descriptor)
     labels = np.array([s.label for s in shots], dtype=int)
     input_length = len(shots[0].samples)
+    if input_length == 0:
+        raise DataError("cannot train a pipeline on shots with no samples")
 
     kind, arr, _ = preprocess_batch(shots, desc["stages"])
     X = _model_inputs(desc, kind, arr)

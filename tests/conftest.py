@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ def decaying_dataset(decaying_config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def pytest_report_header(config):
+    """State what produced the run's numbers: numpy, its BLAS, and the
+    thread-count variables (a06 trains at the default count)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}
+    return [
+        f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}",
+        "threads: " + (" ".join(f"{k}={v}" for k, v in threads.items()) or "no *_NUM_THREADS set"),
+    ]
 
 
 _ACCEPTANCE_LINES: list[str] = []

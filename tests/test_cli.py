@@ -404,6 +404,22 @@ def test_evaluate_refuses_non_finite_shots(workdir, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pipeline", ["gmm", "bandpass_lstm"])
+def test_training_on_shots_without_samples_exits_2(workdir, capsys, pipeline):
+    shots = [
+        RawShot(samples=np.zeros(0, dtype=np.float32), label=k % 3, herald_pass=True,
+                true_path=None, shot_id=k, sample_rate=2.0)
+        for k in range(30)
+    ]
+    empty = workdir / "empty.rkd"
+    save_dataset(Dataset(shots=shots, config=None), empty)
+    model = workdir / "never.rkm"
+    rc = main(["train", "--data", str(empty), "--pipeline", pipeline, "--out", str(model)])
+    assert rc == 2
+    assert "no samples" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_training_exits_3(workdir, capsys):
     shots = []

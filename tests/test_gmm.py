@@ -123,6 +123,14 @@ def test_fit_rejects_degenerate_input(rng):
         GmmClassifier.fit(np.zeros(5), np.zeros(5, dtype=int))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_points(rng, bad):
+    X, y = three_blobs(rng)
+    X[7, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        GmmClassifier.fit(X, y)
+
+
 def test_dimension_mismatch_raises(rng):
     X, y = three_blobs(rng)
     model = GmmClassifier.fit(X, y)

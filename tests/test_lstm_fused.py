@@ -1,9 +1,16 @@
-"""The fused LSTM step against the plain per-gate loop, compared bit for bit.
+"""The gate-major LSTM against two test-local references.
 
-The reference below is the straightforward form of the recurrence: each gate
-block gets its own ``sigmoid`` or ``tanh`` and is then stored into the cache.
-The fused forward must reproduce its logits, every cache array, and every
-gradient exactly, not merely to a tolerance.
+The per-gate reference is the straightforward form of the recurrence in the
+same gate-major layout as the model: each gate block gets its own
+``sigmoid`` or ``tanh`` and is then stored into the cache.  The fused
+forward must reproduce its logits, every cache array, and every gradient
+exactly, not merely to a tolerance.
+
+The row-major reference is the layer as it was before the gate-major
+layout: states ``(T, N, h)``, gates ``(T, N, 4h)``, and weight gradients as
+single products over all ``T * N`` rows.  It rounds differently, so the
+model must agree with it to a relative ``1e-12`` (largest deviation over
+the largest reference magnitude, per array), not bit for bit.
 """
 
 import numpy as np
@@ -15,27 +22,28 @@ from readoutkit.nn.lstm import LstmNetwork
 
 
 def _reference_layer_forward(layer, x):
-    T, N, _ = x.shape
+    T, _, N = x.shape
     h = layer.hidden_dim
-    zx = (x.reshape(T * N, -1) @ layer.Wx).reshape(T, N, 4 * h) + layer.b
-    gates = np.empty((T, N, 4 * h))
-    cs = np.empty((T, N, h))
-    tanh_cs = np.empty((T, N, h))
-    hs = np.empty((T, N, h))
-    h_t = np.zeros((N, h))
-    c_t = np.zeros((N, h))
+    zx = np.matmul(layer.Wx.T, x) + layer.b[:, None]
+    gates = np.empty((T, 4 * h, N))
+    cs = np.empty((T, h, N))
+    tanh_cs = np.empty((T, h, N))
+    hs = np.empty((T, h, N))
+    h_t = np.zeros((h, N))
+    c_t = np.zeros((h, N))
+    WhT = np.ascontiguousarray(layer.Wh.T)
     for t in range(T):
-        z = zx[t] + h_t @ layer.Wh
-        zi, zf, zg, zo = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
+        z = zx[t] + WhT @ h_t
+        zi, zf, zg, zo = z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
         gi, gf, go = sigmoid(zi), sigmoid(zf), sigmoid(zo)
         gg = np.tanh(zg)
         c_t = gf * c_t + gi * gg
         tc = np.tanh(c_t)
         h_t = go * tc
-        gates[t, :, :h] = gi
-        gates[t, :, h : 2 * h] = gf
-        gates[t, :, 2 * h : 3 * h] = gg
-        gates[t, :, 3 * h :] = go
+        gates[t, :h] = gi
+        gates[t, h : 2 * h] = gf
+        gates[t, 2 * h : 3 * h] = gg
+        gates[t, 3 * h :] = go
         cs[t] = c_t
         tanh_cs[t] = tc
         hs[t] = h_t
@@ -44,15 +52,99 @@ def _reference_layer_forward(layer, x):
 
 def _reference_forward(model, x):
     caches = []
-    seq = x
+    seq = x.transpose(0, 2, 1)
     for layer in model.layers:
         seq, cache = _reference_layer_forward(layer, seq)
+        caches.append(cache)
+    h_final = seq[-1]
+    logits = h_final.T @ model.W_out
+    if model.b_out is not None:
+        logits = logits + model.b_out
+    return logits, (caches, h_final, x.shape)
+
+
+def _row_major_layer_forward(layer, x):
+    """(T, N, D) input; the fused step in the old row-major layout."""
+    T, N, _ = x.shape
+    h = layer.hidden_dim
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    offset = np.ones(4 * h)
+    offset[2 * h : 3 * h] = 0.0
+    Wh = layer.Wh * scale
+    gates = (x.reshape(T * N, -1) @ (layer.Wx * scale)).reshape(T, N, 4 * h)
+    gates += layer.b * scale
+    cs = np.empty((T, N, h))
+    tanh_cs = np.empty((T, N, h))
+    hs = np.empty((T, N, h))
+    h_t = c_t = np.zeros((N, h))
+    for t in range(T):
+        g = gates[t]
+        g += h_t @ Wh
+        np.tanh(g, out=g)
+        g += offset
+        g *= scale
+        c_t = np.multiply(g[:, h : 2 * h], c_t, out=cs[t])
+        c_t += g[:, :h] * g[:, 2 * h : 3 * h]
+        h_t = np.multiply(g[:, 3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=hs[t])
+    return hs, (x, gates, cs, tanh_cs, hs)
+
+
+def _row_major_layer_backward(layer, cache, dh_seq):
+    """``(dx, (dWx, dWh, db))`` with the flat ``K = T * N`` products."""
+    x, gates, cs, tanh_cs, hs = cache
+    T, N, _ = x.shape
+    h = layer.hidden_dim
+    dzs = np.empty((T, N, 4 * h))
+    dh_rec = np.zeros((N, h))
+    dc = np.zeros((N, h))
+    for t in range(T - 1, -1, -1):
+        gi = gates[t, :, :h]
+        gf = gates[t, :, h : 2 * h]
+        gg = gates[t, :, 2 * h : 3 * h]
+        go = gates[t, :, 3 * h :]
+        tc = tanh_cs[t]
+        c_prev = cs[t - 1] if t > 0 else 0.0
+        dh = dh_seq[t] + dh_rec
+        dc = dc + dh * go * (1.0 - tc * tc)
+        dz = dzs[t]
+        dz[:, :h] = (dc * gg) * gi * (1.0 - gi)
+        dz[:, h : 2 * h] = (dc * c_prev) * gf * (1.0 - gf)
+        dz[:, 2 * h : 3 * h] = (dc * gi) * (1.0 - gg * gg)
+        dz[:, 3 * h :] = (dh * tc) * go * (1.0 - go)
+        dc = dc * gf
+        dh_rec = dz @ layer.Wh.T
+    dz_flat = dzs.reshape(T * N, 4 * h)
+    dWx = x.reshape(T * N, -1).T @ dz_flat
+    dWh = hs[:-1].reshape((T - 1) * N, h).T @ dzs[1:].reshape((T - 1) * N, 4 * h)
+    db = dz_flat.sum(axis=0)
+    dx = (dz_flat @ layer.Wx.T).reshape(x.shape)
+    return dx, (dWx, dWh, db)
+
+
+def _row_major_forward_backward(model, x, labels):
+    """Logits and the parameter gradients."""
+    caches = []
+    seq = x
+    for layer in model.layers:
+        seq, cache = _row_major_layer_forward(layer, seq)
         caches.append(cache)
     h_final = seq[-1]
     logits = h_final @ model.W_out
     if model.b_out is not None:
         logits = logits + model.b_out
-    return logits, (caches, h_final, x.shape)
+    _, dlogits = weighted_cross_entropy(logits, labels, np.ones(len(labels)), output=model.output)
+    dh_seq = np.zeros(seq.shape)
+    dh_seq[-1] = dlogits @ model.W_out.T
+    layer_grads = []
+    for layer, cache in zip(reversed(model.layers), reversed(caches)):
+        dh_seq, grads = _row_major_layer_backward(layer, cache, dh_seq)
+        layer_grads.append(grads)
+    grads = [g for lg in reversed(layer_grads) for g in lg]
+    grads.append(h_final.T @ dlogits)
+    if model.b_out is not None:
+        grads.append(dlogits.sum(axis=0))
+    return logits, grads
 
 
 def _trained_looking_model(hidden, output, seed):
@@ -66,7 +158,7 @@ def _trained_looking_model(hidden, output, seed):
     return model
 
 
-@pytest.mark.parametrize("n", [1, 7, 256])
+@pytest.mark.parametrize("n", [1, 7, 132, 256, 900])
 @pytest.mark.parametrize("hidden", [(16,), (16, 8)])
 @pytest.mark.parametrize("output", ["softmax", "sigmoid"])
 def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
@@ -81,7 +173,7 @@ def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
 
     caches, h_final, shape = cache
     ref_caches, ref_h_final, ref_shape = ref_cache
-    assert shape == ref_shape
+    assert shape == ref_shape == x.shape
     assert np.array_equal(h_final, ref_h_final)
     assert len(caches) == len(ref_caches) == len(hidden)
     for layer_cache, ref_layer_cache in zip(caches, ref_caches):
@@ -97,6 +189,39 @@ def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
         assert np.array_equal(g, ref_g)
 
 
+def _rel_dev(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 7, 132, 256, 900])
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("output", ["softmax", "sigmoid"])
+def test_gate_major_agrees_with_row_major_layout(n, hidden, output):
+    model = _trained_looking_model(hidden, output, seed=n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 2.0, (50, n, 2))
+    labels = rng.integers(0, 3, n)
+    ref_logits, ref_grads = _row_major_forward_backward(model, x, labels)
+
+    logits, cache = model.forward(x)
+    assert _rel_dev(logits, ref_logits) <= 1e-12
+    _, dlogits = weighted_cross_entropy(logits, labels, np.ones(n), output=output)
+    grads = model.backward(cache, dlogits)
+    for g, ref_g in zip(grads, ref_grads, strict=True):
+        assert g.shape == ref_g.shape
+        assert _rel_dev(g, ref_g) <= 1e-12
+
+    # every layer's input gradient, from a random state gradient at each step
+    caches = cache[0]
+    for i, layer in enumerate(model.layers):
+        dh_seq = rng.normal(size=(50, n, layer.hidden_dim))
+        dx, _ = layer.backward(caches[i], np.ascontiguousarray(dh_seq.transpose(0, 2, 1)))
+        layer_in = caches[i][0].transpose(0, 2, 1)
+        _, ref_layer_cache = _row_major_layer_forward(layer, np.ascontiguousarray(layer_in))
+        ref_dx, _ = _row_major_layer_backward(layer, ref_layer_cache, dh_seq)
+        assert _rel_dev(dx.transpose(0, 2, 1), ref_dx) <= 1e-12
+
+
 def test_fused_forward_leaves_parameters_untouched():
     model = _trained_looking_model((16,), "softmax", seed=3)
     before = [p.copy() for p in model.param_arrays()]
@@ -109,10 +234,10 @@ def test_bottom_layer_skips_only_the_unused_input_gradient():
     model = _trained_looking_model((16, 8), "softmax", seed=5)
     x = np.random.default_rng(5).normal(0.0, 2.0, (30, 9, 2))
     _, (caches, _, _) = model.forward(x)
-    dh_seq = np.random.default_rng(6).normal(size=(30, 9, 16))
+    dh_seq = np.random.default_rng(6).normal(size=(30, 16, 9))
     layer = model.layers[0]
     dx, grads = layer.backward(caches[0], dh_seq)
     skipped, same_grads = layer.backward(caches[0], dh_seq, input_grad=False)
-    assert dx.shape == x.shape and skipped is None
+    assert dx.shape == (30, 2, 9) and skipped is None
     for g, h in zip(grads, same_grads, strict=True):
         assert np.array_equal(g, h)

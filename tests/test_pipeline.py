@@ -8,6 +8,7 @@ from readoutkit import (
     GmmClassifier,
     IncompatibilityError,
     LstmNetwork,
+    RawShot,
     TrainedPipeline,
     normalize_descriptor,
     preprocess_batch,
@@ -281,6 +282,17 @@ def test_integrated_points_shape(quiet_dataset):
 def test_train_pipeline_rejects_empty():
     with pytest.raises(ConfigurationError):
         train_pipeline([], standard_pipelines()["gmm"])
+
+
+@pytest.mark.parametrize("name", ["gmm", "lstm", "signature_dense"])
+def test_train_pipeline_rejects_shots_without_samples(quiet_dataset, name):
+    shots = [
+        RawShot(samples=np.zeros(0, dtype=np.float32), label=s.label, herald_pass=True,
+                true_path=None, shot_id=k, sample_rate=2.0)
+        for k, s in enumerate(quiet_dataset.shots[:30])
+    ]
+    with pytest.raises(DataError, match="no samples"):
+        train_pipeline(shots, standard_pipelines()[name])
 
 
 def test_path_transform_stage_changes_features(quiet_dataset):
