@@ -56,10 +56,6 @@ from ..errors import ConfigurationError
 from .activations import sigmoid, softmax
 
 
-# widest batch whose sigmoid finish uses full (4*hidden, N) operands
-FULL_OPERAND_MAX_BATCH = 512
-
-
 def lstm_param_count(
     input_dim: int,
     hidden: tuple[int, ...],
@@ -105,24 +101,17 @@ class _Layer:
         hs = np.empty((T, h, N))
         z = np.empty((4 * h, N))
         ig = np.empty((h, N))
-        # the sigmoid finish: full-size operands run fastest while a step's
-        # slab stays in cache; wider slabs broadcast one value per gate block
-        if N <= FULL_OPERAND_MAX_BATCH:
-            offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(float)
-            scale = np.repeat(scale[:, None], N, axis=1)
-            blocks = gates
-        else:
-            offset = (scale[::h] != 1.0).astype(float)[:, None, None]
-            scale = scale[::h, None, None]
-            blocks = gates.reshape(T, 4, h, N)
+        # the sigmoid finish as full-size operands, one contiguous pass each
+        offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(float)
+        scale = np.repeat(scale[:, None], N, axis=1)
         h_t = c_t = np.zeros((h, N))
         for t in range(T):
             g = gates[t]
             np.matmul(WhT, h_t, out=z)
             g += z
             np.tanh(g, out=g)
-            blocks[t] += offset
-            blocks[t] *= scale
+            g += offset
+            g *= scale
             c_t = np.multiply(g[h : 2 * h], c_t, out=cs[t])
             c_t += np.multiply(g[:h], g[2 * h : 3 * h], out=ig)
             h_t = np.multiply(g[3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=hs[t])
