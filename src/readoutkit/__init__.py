@@ -26,7 +26,6 @@ from .evaluation import (
     disagreements,
     evaluate,
     fidelity_table,
-    report_csv,
     report_from_predictions,
     scatter_svg,
     stratified_split,

@@ -79,6 +79,10 @@ def _split(dataset: Dataset):
     return evaluation.stratified_split(dataset.shots, train_frac=0.8)
 
 
+def _log_epoch(rec: dict) -> None:
+    print(f"epoch {rec['epoch'] + 1:>3}  loss {rec['loss']:.6f}  lr {rec['lr']:.3e}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_sim_config(args)
     dataset = generate_dataset(cfg, args.shots_per_state)
@@ -98,13 +102,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         desc.setdefault("train", {})["seed"] = args.seed
     train_shots, test_shots = _split(dataset)
-
-    def log(rec):
-        print(
-            f"epoch {rec['epoch'] + 1:>3}  loss {rec['loss']:.6f}  lr {rec['lr']:.3e}"
-        )
-
-    fitted = pl.train_pipeline(train_shots, desc, log_fn=log)
+    fitted = pl.train_pipeline(train_shots, desc, log_fn=_log_epoch)
     extra = {"train_shots": len(train_shots), "test_shots_held_out": len(test_shots)}
     if dataset.config is not None:
         extra["data_config_sha256"] = config_hash(dataset.config.to_dict())
@@ -143,13 +141,7 @@ def cmd_compare(args) -> int:
     train_shots, test_shots = _split(dataset)
 
     baseline = pl.train_pipeline(train_shots, desc_baseline)
-    primary = pl.train_pipeline(
-        train_shots,
-        desc_primary,
-        log_fn=lambda rec: print(
-            f"epoch {rec['epoch'] + 1:>3}  loss {rec['loss']:.6f}  lr {rec['lr']:.3e}"
-        ),
-    )
+    primary = pl.train_pipeline(train_shots, desc_primary, log_fn=_log_epoch)
 
     rep_b = evaluation.evaluate(baseline, test_shots)
     rep_p = evaluation.evaluate(primary, test_shots)
@@ -219,10 +211,7 @@ def cmd_inspect(args) -> int:
             print(f"config sha256: {config_hash(dataset.config.to_dict())}")
             print(f"config: {canonical_json(dataset.config.to_dict())}")
     else:
-        sidecar = sidecar_path(args.model)
-        if not sidecar.exists():
-            raise FileFormatError(f"model sidecar {sidecar} is missing")
-        meta = read_sidecar(sidecar, "model")
+        meta = read_sidecar(sidecar_path(args.model), "model")
         print(f"model: {args.model}")
         for key in sorted(meta):
             print(f"{key}: {canonical_json(meta[key])}")

@@ -54,10 +54,12 @@ def _record_dtype(n_samples: int) -> np.dtype:
 
 def read_sidecar(sidecar: Path, what: str) -> dict:
     """The JSON object in a ``what`` (dataset or model) sidecar;
-    ``FileFormatError`` if the file is not UTF-8 JSON or holds anything but
-    an object."""
+    ``FileFormatError`` if the file is missing, is not UTF-8 JSON or holds
+    anything but an object."""
     try:
         meta = json.loads(sidecar.read_text())
+    except OSError as e:
+        raise FileFormatError(f"cannot read {what} sidecar {sidecar}: {e}") from e
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FileFormatError(f"{what} sidecar {sidecar} is not valid JSON: {e}") from e
     if not isinstance(meta, dict):

@@ -211,16 +211,6 @@ def confusion_table(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def report_csv(reports: list[EvalReport], path: str | Path) -> None:
-    with open(path, "w") as f:
-        f.write("classifier,state0,state1,state2,average,stderr,n_test\n")
-        for r in reports:
-            f.write(
-                f"{r.name},{r.per_state[0]:.6f},{r.per_state[1]:.6f},"
-                f"{r.per_state[2]:.6f},{r.average:.6f},{r.stderr:.6f},{r.n_test}\n"
-            )
-
-
 _SVG_COLORS = ("#1f77b4", "#2ca02c", "#d62728")
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .activations import selu, selu_grad, sigmoid, softmax
+from .activations import selu, selu_grad
+from .loss import OUTPUTS, Classifier
 
 
 def dense_param_count(input_dim: int, hidden: tuple[int, ...], output_dim: int) -> int:
@@ -38,7 +39,7 @@ def _blocked_grads(a: np.ndarray, delta: np.ndarray):
     return gw, gb
 
 
-class DenseNetwork:
+class DenseNetwork(Classifier):
     """Fully connected net: input -> hidden (SELU) ... -> linear logits."""
 
     batch_axis = 0
@@ -51,8 +52,8 @@ class DenseNetwork:
         output: str = "softmax",
         seed: int = 0,
     ):
-        if output not in ("softmax", "sigmoid"):
-            raise ConfigurationError("output must be 'softmax' or 'sigmoid'")
+        if output not in OUTPUTS:
+            raise ConfigurationError(f"output must be one of {OUTPUTS}")
         self.input_dim = input_dim
         self.hidden = tuple(int(h) for h in hidden)
         self.output_dim = output_dim
@@ -129,16 +130,3 @@ class DenseNetwork:
         for gw, gb in zip(grads_w, grads_b):
             out.extend([gw, gb])
         return out
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(x)
-        return logits
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits = self.predict_logits(x)
-        if self.output == "softmax":
-            return softmax(logits, axis=1)
-        return sigmoid(logits)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_logits(x), axis=1)

@@ -1,4 +1,5 @@
-"""Per-sample weighted classification losses and their logit gradients.
+"""Per-sample weighted classification losses and their logit gradients, and
+the prediction path the networks share.
 
 Both losses normalize by the total sample weight, so duplicating a sample is
 exactly equivalent to doubling its weight, and a zero total weight yields
@@ -11,6 +12,13 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .activations import log_softmax, sigmoid, softmax
+
+# the output squashings a network can declare: softmax over exclusive
+# classes, or an independent sigmoid per class
+OUTPUTS = ("softmax", "sigmoid")
+# shots per forward pass when predicting; a block's caches are what
+# prediction holds at once
+PREDICT_BLOCK = 512
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -62,5 +70,29 @@ def weighted_cross_entropy(
         loss = float(np.sum(w * per_class.sum(axis=1)) / w_total)
         dlogits = (sigmoid(logits) - y) * (w / w_total)[:, None]
     else:
-        raise ConfigurationError("output must be 'softmax' or 'sigmoid'")
+        raise ConfigurationError(f"output must be one of {OUTPUTS}")
     return loss, dlogits
+
+
+class Classifier:
+    """Prediction for a network with ``forward``, ``batch_axis`` and
+    ``output``: logits from ``forward`` run over views of at most
+    ``PREDICT_BLOCK`` shots along the batch axis, so memory does not grow
+    with the number of shots."""
+
+    def predict_logits(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim <= self.batch_axis:
+            return self.forward(x)[0]  # which refuses the shape
+        cuts = range(PREDICT_BLOCK, x.shape[self.batch_axis], PREDICT_BLOCK)
+        return np.concatenate([self.forward(b)[0] for b in np.split(x, cuts, self.batch_axis)])
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        logits = self.predict_logits(x)
+        if self.output == "softmax":
+            return softmax(logits, axis=1)
+        return sigmoid(logits)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Class indices; ties resolve to the lower index."""
+        return np.argmax(self.predict_logits(x), axis=1)

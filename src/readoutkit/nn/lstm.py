@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .activations import sigmoid, softmax
+from .loss import OUTPUTS, Classifier
 
 
 def lstm_param_count(
@@ -182,7 +182,7 @@ class _Layer:
         return dx, (dWx, dWh, db)
 
 
-class LstmNetwork:
+class LstmNetwork(Classifier):
     """Stacked LSTM layers plus a linear readout of the final hidden state."""
 
     batch_axis = 1
@@ -198,8 +198,8 @@ class LstmNetwork:
     ):
         if not hidden:
             raise ConfigurationError("need at least one recurrent layer")
-        if output not in ("softmax", "sigmoid"):
-            raise ConfigurationError("output must be 'softmax' or 'sigmoid'")
+        if output not in OUTPUTS:
+            raise ConfigurationError(f"output must be one of {OUTPUTS}")
         self.input_dim = input_dim
         self.hidden = tuple(int(h) for h in hidden)
         self.output_dim = output_dim
@@ -294,17 +294,3 @@ class LstmNetwork:
         if db_out is not None:
             out.append(db_out)
         return out
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(x)
-        return logits
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits = self.predict_logits(x)
-        if self.output == "softmax":
-            return softmax(logits, axis=1)
-        return sigmoid(logits)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class indices; ties resolve to the lower index."""
-        return np.argmax(self.predict_logits(x), axis=1)

@@ -36,21 +36,10 @@ class TrainConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "decay_gamma": self.decay_gamma,
-            "decay_every": self.decay_every,
-            "shuffle": self.shuffle,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        """Settings from (part of) their :meth:`to_dict` form, defaults for
-        the rest.  Types are checked here and ranges in :meth:`validate`; an
+        """Settings from a mapping of (some of) the fields, defaults for the
+        rest.  Types are checked here and ranges in :meth:`validate`; an
         unknown field or a value of the wrong type raises
         ``ConfigurationError``."""
         if not isinstance(d, Mapping) or not d.keys() <= cls.__dataclass_fields__.keys():

@@ -25,6 +25,7 @@ from ..dataio import canonical_json, sidecar_path
 from ..errors import DataError, FileFormatError
 from ..gmm import GmmClassifier
 from .dense import DenseNetwork, dense_param_count
+from .loss import OUTPUTS
 from .lstm import LstmNetwork, lstm_param_count
 
 MODEL_MAGIC = b"RKIT-MODEL\x00\x00"
@@ -63,7 +64,7 @@ def _declared_count(arch, path: Path) -> int:
     sizes = [arch.get(k) for k in keys] + (hidden if isinstance(hidden, list) else [None])
     valid = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes)
     if kind != "gmm":
-        valid = valid and arch.get("output", "softmax") in ("softmax", "sigmoid")
+        valid = valid and arch.get("output", "softmax") in OUTPUTS
     if not valid or (kind == "lstm" and not hidden):
         raise FileFormatError(f"invalid {kind} architecture in {path}: {canonical_json(arch)}")
     if kind == "gmm":

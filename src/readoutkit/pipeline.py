@@ -51,6 +51,7 @@ from .dataio import read_sidecar, sidecar_path
 from .errors import ConfigurationError, DataError, FileFormatError, IncompatibilityError
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
+from .nn.loss import OUTPUTS
 from .nn.lstm import LstmNetwork
 from .nn.optim import TrainConfig
 from .nn.serialize import load_model, save_model
@@ -156,8 +157,8 @@ def normalize_descriptor(desc: dict) -> dict:
         if has_integrate:
             raise ConfigurationError("integrate feeds only the gmm model")
         model.setdefault("output", "softmax")
-        if model["output"] not in ("softmax", "sigmoid"):
-            raise ConfigurationError("model output must be 'softmax' or 'sigmoid'")
+        if model["output"] not in OUTPUTS:
+            raise ConfigurationError(f"model output must be one of {OUTPUTS}")
         if kind == "lstm":
             hidden = model.setdefault("hidden", [16])
             if not isinstance(model.setdefault("output_bias", False), bool):
@@ -189,9 +190,6 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]):
     per-sample chain, which runs every other list.
     """
     x = np.asarray(samples, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     fold = None
     if stages and stages[0]["op"] == "bandpass":
         key = json.dumps(
@@ -199,12 +197,8 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]):
         )
         fold = _band_response(key, x.shape[-1], sample_rate)
     if fold is None:
-        kind, arr, rate = _apply_per_sample(x, sample_rate, stages)
-    else:
-        kind, arr, rate = _fold(x, *fold)
-    if squeeze:
-        arr = arr[0]
-    return kind, arr, rate
+        return _apply_per_sample(x, sample_rate, stages)
+    return _fold(x, *fold)
 
 
 def _apply_per_sample(x: np.ndarray, sample_rate: float, stages: list[dict]):
@@ -287,23 +281,25 @@ def _fold(x: np.ndarray, bins: np.ndarray, kind: str, response: np.ndarray, rate
     return kind, out.reshape((len(x),) + response.shape[1:]), rate
 
 
-def preprocess_batch(shots: list[RawShot], stages: list[dict], chunk: int = CHUNK):
-    """Chunked stage application over many shots.
+def preprocess_batch(shots: list[RawShot], stages: list[dict]):
+    """Stage application over many shots, ``CHUNK`` shots at a time.
 
     Returns the same ``(kind, array, rate)`` triple as :func:`apply_stages`
     with the batch axis first.  Chunking bounds peak memory; results are
-    identical to one big call because every stage is per-trace.
+    identical to one big call because every stage is per-trace.  The shots
+    must share length and rate (``DataError`` otherwise).
     """
     if not shots:
         raise ConfigurationError("no shots to preprocess")
+    n, rate = len(shots[0].samples), shots[0].sample_rate
+    if any(len(s.samples) != n or s.sample_rate != rate for s in shots):
+        raise DataError("all shots in one call must share length and rate")
     blocks = []
-    kind = rate = None
-    for start in range(0, len(shots), chunk):
-        part = shots[start : start + chunk]
-        block = np.stack([s.samples for s in part]).astype(float)
-        kind, arr, rate = apply_stages(block, part[0].sample_rate, stages)
+    for start in range(0, len(shots), CHUNK):
+        block = np.stack([s.samples for s in shots[start : start + CHUNK]]).astype(float)
+        kind, arr, out_rate = apply_stages(block, rate, stages)
         blocks.append(arr)
-    return kind, np.concatenate(blocks, axis=0), rate
+    return kind, np.concatenate(blocks, axis=0), out_rate
 
 
 def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
@@ -346,10 +342,6 @@ class TrainedPipeline:
     def name(self) -> str:
         return self.descriptor.get("name", "pipeline")
 
-    @property
-    def model_kind(self) -> str:
-        return self.descriptor["model"]["kind"]
-
     def _check_shots(self, shots: list[RawShot]) -> None:
         if not shots:
             raise ConfigurationError("no shots to classify")
@@ -362,17 +354,16 @@ class TrainedPipeline:
             if not np.isfinite(shot.samples).all():
                 raise DataError(f"shot {k} has non-finite samples and cannot be classified")
 
-    def predict(self, shots: list[RawShot]) -> np.ndarray:
+    def _inputs(self, shots: list[RawShot]) -> np.ndarray:
         self._check_shots(shots)
         kind, arr, _ = preprocess_batch(shots, self.descriptor["stages"])
-        X = _model_inputs(self.descriptor, kind, arr)
-        return self.model.predict(X)
+        return _model_inputs(self.descriptor, kind, arr)
+
+    def predict(self, shots: list[RawShot]) -> np.ndarray:
+        return self.model.predict(self._inputs(shots))
 
     def predict_proba(self, shots: list[RawShot]) -> np.ndarray:
-        self._check_shots(shots)
-        kind, arr, _ = preprocess_batch(shots, self.descriptor["stages"])
-        X = _model_inputs(self.descriptor, kind, arr)
-        return self.model.predict_proba(X)
+        return self.model.predict_proba(self._inputs(shots))
 
     def predict_one(self, shot: RawShot) -> int:
         return int(self.predict([shot])[0])
@@ -387,12 +378,19 @@ class TrainedPipeline:
     def load(cls, path: str | Path) -> "TrainedPipeline":
         model = load_model(path)
         sidecar = sidecar_path(path)
-        if not sidecar.exists():
-            raise ConfigurationError(f"pipeline sidecar {sidecar} is missing")
         meta = read_sidecar(sidecar, "model")
         if "pipeline" not in meta:
-            raise ConfigurationError(f"{sidecar} has no pipeline descriptor")
-        desc = normalize_descriptor(meta["pipeline"])
+            raise FileFormatError(f"{sidecar} has no pipeline descriptor")
+        try:
+            desc = normalize_descriptor(meta["pipeline"])
+        except ConfigurationError as e:
+            raise FileFormatError(f"{sidecar} holds an invalid pipeline descriptor: {e}") from e
+        arch = model.arch()
+        if any(arch[k] != v for k, v in desc["model"].items() if k in arch):
+            raise FileFormatError(
+                f"{sidecar} describes a model other than the one in {path}: "
+                f"{desc['model']} against {arch}"
+            )
         try:
             input_length = int(meta["input_length"])
         except (KeyError, TypeError, ValueError) as e:
@@ -413,7 +411,7 @@ def train_pipeline(
     integrated points and weighs each sample by the posterior it assigns to
     the sample's own label.
     """
-    shots = dataset.shots if isinstance(dataset, Dataset) else list(dataset)
+    shots = list(dataset)
     if not shots:
         raise ConfigurationError("cannot train a pipeline on zero shots")
     desc = normalize_descriptor(descriptor)
@@ -438,24 +436,8 @@ def train_pipeline(
         weights = None
 
     tc = TrainConfig.from_dict(desc.get("train", {}))
-    mdesc = desc["model"]
-    if mdesc["kind"] == "lstm":
-        model = LstmNetwork(
-            input_dim=X.shape[2],
-            hidden=tuple(mdesc["hidden"]),
-            output_dim=int(labels.max()) + 1,
-            output_bias=mdesc["output_bias"],
-            output=mdesc["output"],
-            seed=tc.seed,
-        )
-    else:
-        model = DenseNetwork(
-            input_dim=X.shape[1],
-            hidden=tuple(mdesc["hidden"]),
-            output_dim=int(labels.max()) + 1,
-            output=mdesc["output"],
-            seed=tc.seed,
-        )
+    arch = {**desc["model"], "input_dim": X.shape[-1], "output_dim": int(labels.max()) + 1}
+    model = (LstmNetwork if arch["kind"] == "lstm" else DenseNetwork).from_arch(arch, seed=tc.seed)
     train(model, X, labels, weights=weights, config=tc, log_fn=log_fn)
     return TrainedPipeline(descriptor=desc, model=model, input_length=input_length)
 

@@ -59,12 +59,6 @@ class StatePath:
     def has_transition(self) -> bool:
         return len(self.segments) > 1
 
-    def state_at(self, t: float) -> int:
-        for state, start, end in self.segments:
-            if start <= t < end:
-                return state
-        return self.segments[-1][0]
-
 
 def is_finite_number(value) -> bool:
     """A real number that is finite as a float; bools are not numbers."""
@@ -277,7 +271,7 @@ def sample_state_path(prepared: int, cfg: SimConfig, rng: np.random.Generator) -
 
 
 class _Renderer:
-    """Tables for rendering paths of one config into ``n``-sample traces.
+    """Tables for rendering paths of one config into traces.
 
     Built once per call and shared by its shots: the state targets, the
     carrier phase, the carrier itself (only without phase noise), and each
@@ -287,9 +281,9 @@ class _Renderer:
     traces do not depend on whether a table was reused.
     """
 
-    def __init__(self, cfg: SimConfig, n: int | None = None):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.n = cfg.n_samples if n is None else n
+        self.n = cfg.n_samples
         self.targets = np.array(
             [amp * np.exp(1j * phase) for amp, phase in cfg.state_envelopes], dtype=complex
         )
@@ -302,6 +296,12 @@ class _Renderer:
         self._clean: dict[tuple, np.ndarray] = {}
 
     def envelope(self, path: StatePath) -> np.ndarray:
+        """Complex resonator envelope at the sample times.
+
+        First-order relaxation toward the current state's target with time
+        constant ``ring_time``, integrated exactly over each constant-state
+        stretch; the resonator starts empty (e = 0 at t = 0).
+        """
         cfg, n, dt = self.cfg, self.n, self.cfg.dt
         env = np.empty(n, dtype=complex)
         if cfg.ring_time == 0.0:
@@ -356,16 +356,6 @@ class _Renderer:
             shot_id=shot_id,
             sample_rate=self.cfg.sample_rate,
         )
-
-
-def _envelope(path: StatePath, cfg: SimConfig, n: int) -> np.ndarray:
-    """Complex resonator envelope at the n sample times.
-
-    First-order relaxation toward the current state's target with time
-    constant ``ring_time``, integrated exactly over each constant-state
-    stretch; the resonator starts empty (e = 0 at t = 0).
-    """
-    return _Renderer(cfg, n).envelope(path)
 
 
 def synthesize_shot(

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,14 +45,20 @@ def rng():
     return np.random.default_rng(1234)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def pytest_report_header(config):
     """State what produced the run's numbers: numpy, its BLAS, and the
-    thread-count variables (a06 trains at the default count)."""
+    thread-count variables (a06 trains at the default count); and the size
+    of the package, as newlines in its sources under ``src/``."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}
+    src_lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
     return [
         f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}",
         "threads: " + (" ".join(f"{k}={v}" for k, v in threads.items()) or "no *_NUM_THREADS set"),
+        f"src/ lines: {src_lines}",
     ]
 
 

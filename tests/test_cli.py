@@ -366,6 +366,50 @@ def test_model_sidecar_without_input_length_exits_4(workdir, capsys):
     assert "input_length" in capsys.readouterr().err
 
 
+def _drop_pipeline(meta):
+    del meta["pipeline"]
+
+
+def _no_stages(meta):
+    meta["pipeline"]["stages"] = []
+
+
+def _lstm_descriptor(meta):
+    meta["pipeline"] = QUICK_PIPELINE
+
+
+def _wider_hidden(meta):
+    meta["pipeline"]["model"]["hidden"] = [9]
+
+
+@pytest.mark.parametrize(
+    "pipeline, edit, message",
+    [
+        ("gmm", None, "cannot read model sidecar"),
+        ("gmm", _drop_pipeline, "no pipeline descriptor"),
+        ("gmm", _no_stages, "invalid pipeline descriptor"),
+        ("gmm", _lstm_descriptor, "describes a model other than"),
+        ("quick", _wider_hidden, "describes a model other than"),
+    ],
+    ids=["missing", "no-pipeline", "bad-descriptor", "gmm-file-lstm-descriptor", "hidden-mismatch"],
+)
+def test_model_sidecar_faults_exit_4(workdir, capsys, pipeline, edit, message):
+    data = simulate(workdir)
+    model = workdir / "m.rkm"
+    spec = "gmm" if pipeline == "gmm" else str(workdir / "pipeline.json")
+    assert main(["train", "--data", str(data), "--pipeline", spec, "--out", str(model)]) == 0
+    sidecar = workdir / "m.rkm.json"
+    if edit is None:
+        sidecar.unlink()
+    else:
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_compare_rejects_sidecar_that_does_not_reproduce(workdir, capsys):
     data = simulate(workdir)
     sidecar = workdir / "shots.rkd.json"

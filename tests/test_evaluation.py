@@ -11,7 +11,6 @@ from readoutkit import (
     disagreements,
     evaluate,
     fidelity_table,
-    report_csv,
     report_from_predictions,
     scatter_svg,
     standard_pipelines,
@@ -209,19 +208,6 @@ def test_disagreements_rejects_mismatch(quiet_dataset):
     labels = np.array([s.label for s in shots])
     with pytest.raises(ConfigurationError):
         disagreements(shots, labels[:3], labels, frequency=0.1)
-
-
-def test_report_csv_roundtrip(tmp_path):
-    rep = _report_with_rates()
-    path = tmp_path / "fid.csv"
-    report_csv([rep], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "classifier,state0,state1,state2,average,stderr,n_test"
-    fields = lines[1].split(",")
-    assert fields[0] == "toy"
-    assert float(fields[1]) == 0.9
-    assert float(fields[4]) == 0.8
-    assert int(fields[6]) == 30
 
 
 def test_scatter_svg_output(tmp_path, rng):

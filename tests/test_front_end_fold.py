@@ -280,10 +280,11 @@ def test_single_shot_equals_its_row_in_any_chunk(chunk):
         stages = normalize_descriptor(standard_pipelines()[name])["stages"]
         if name == "gmm":
             stages = [bp()] + stages
-        _, batch, _ = preprocess_batch(shots, stages, chunk=chunk)
+        parts = [preprocess_batch(shots[s : s + chunk], stages)[1] for s in range(0, 520, chunk)]
+        batch = np.concatenate(parts)
         for k in (0, 1, 6, 7, 300, 511, 519):
-            _, alone, _ = apply_stages(shots[k].samples, 2.0, stages)
-            assert alone.tobytes() == batch[k].tobytes()
+            _, alone, _ = apply_stages(shots[k].samples[None], 2.0, stages)
+            assert alone[0].tobytes() == batch[k].tobytes()
 
 
 _THREAD_PROBE = """

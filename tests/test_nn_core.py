@@ -144,6 +144,11 @@ def test_lstm_rejects_wrong_feature_width():
     model = LstmNetwork(2, (4,), 3)
     with pytest.raises(ConfigurationError):
         model.forward(np.zeros((5, 3, 1)))
+    # prediction splits along the batch axis, and must still refuse input
+    # without one
+    for bad in (np.zeros((5, 3, 1)), np.zeros(5)):
+        with pytest.raises(ConfigurationError):
+            model.predict(bad)
 
 
 def test_dense_forward_matches_manual_composition(rng):

@@ -146,8 +146,9 @@ def test_descriptor_rejects_bad_weighting_and_model():
 def test_apply_stages_demod_then_integrate_matches_manual(quiet_dataset):
     shot = quiet_dataset.shots[0]
     stages = [demod_stage(0.1), {"op": "integrate"}]
-    kind, arr, rate = apply_stages(shot.samples, shot.sample_rate, stages)
+    kind, arr, rate = apply_stages(shot.samples[None], shot.sample_rate, stages)
     assert kind == "point"
+    arr = arr[0]
     from readoutkit import demodulate
 
     i, q = demodulate(np.asarray(shot.samples, dtype=float), shot.sample_rate, 0.1)
@@ -162,20 +163,20 @@ def test_preprocess_batch_matches_per_shot(quiet_dataset):
         demod_stage(),
         {"op": "bin", "size": 5},
     ]
-    kind, arr, rate = preprocess_batch(shots, stages, chunk=3)
+    kind, arr, rate = preprocess_batch(shots, stages)
     assert kind == "traj"
     assert arr.shape[0] == 7
     for k, shot in enumerate(shots):
-        _, single, _ = apply_stages(shot.samples, shot.sample_rate, stages)
-        assert np.allclose(arr[k], single, atol=1e-12)
+        _, single, _ = apply_stages(shot.samples[None], shot.sample_rate, stages)
+        assert np.allclose(arr[k], single[0], atol=1e-12)
 
 
 def test_preprocess_batch_chunking_invariant(quiet_dataset):
     shots = quiet_dataset.shots[:10]
     stages = [demod_stage(), {"op": "path_transform"}]
-    _, a, _ = preprocess_batch(shots, stages, chunk=2)
-    _, b, _ = preprocess_batch(shots, stages, chunk=100)
-    assert np.array_equal(a, b)
+    parts = [preprocess_batch(shots[s : s + 2], stages)[1] for s in range(0, len(shots), 2)]
+    _, whole, _ = preprocess_batch(shots, stages)
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_train_gmm_pipeline_and_predict(quiet_dataset):
@@ -240,6 +241,37 @@ def test_pipeline_rejects_wrong_trace_length(quiet_dataset, decaying_dataset):
     bad = dataclasses.replace(short, samples=short.samples[:-10])
     with pytest.raises(IncompatibilityError):
         fitted.predict([bad])
+
+
+def _mixed(shots, which):
+    """The shots with the second one's length or rate changed."""
+    import dataclasses
+
+    s = shots[1]
+    if which == "length":
+        other = dataclasses.replace(s, samples=np.concatenate([s.samples, s.samples[:8]]))
+    else:
+        other = dataclasses.replace(s, sample_rate=s.sample_rate / 2)
+    return [shots[0], other] + list(shots[2:])
+
+
+@pytest.mark.parametrize("which", ["length", "rate"])
+def test_predict_refuses_shots_of_mixed_length_or_rate(quiet_dataset, which):
+    # the stages run at one rate per block: a mixed block would process a
+    # shot at another shot's rate
+    fitted = train_pipeline(quiet_dataset, standard_pipelines()["gmm"])
+    shots = _mixed(quiet_dataset.shots[:6], which)
+    with pytest.raises(DataError, match="must share length and rate"):
+        fitted.predict(shots)
+    with pytest.raises(DataError, match="must share length and rate"):
+        fitted.predict_proba(shots)
+
+
+@pytest.mark.parametrize("which", ["length", "rate"])
+def test_train_refuses_shots_of_mixed_length_or_rate(quiet_dataset, which):
+    shots = _mixed(quiet_dataset.shots, which)
+    with pytest.raises(DataError, match="must share length and rate"):
+        train_pipeline(shots, standard_pipelines()["gmm"])
 
 
 @pytest.mark.parametrize("name", ["gmm", "bandpass_lstm", "signature_dense"])

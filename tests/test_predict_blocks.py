@@ -1,0 +1,68 @@
+"""Prediction runs ``forward`` over fixed blocks of shots.
+
+``predict_logits`` splits its input into views of at most ``PREDICT_BLOCK``
+shots along the network's batch axis, so prediction holds one block's
+training caches at a time, not the whole set's.  Where every block has the
+full block width (3000 and 15000 shots, the evaluation sizes of the
+benchmark and of a06) the logits are the bytes of one forward over all the
+shots; a shorter last block may take another BLAS edge kernel and round
+differently, so elsewhere they agree to a relative 1e-12.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from readoutkit import DenseNetwork, LstmNetwork
+from readoutkit.nn.loss import PREDICT_BLOCK
+
+
+def _inputs(T, N, seed=0):
+    return np.random.default_rng(seed).normal(size=(T, N, 2))
+
+
+def _relative(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["h16", "h16-8"])
+@pytest.mark.parametrize("N, T", [(3000, 50), (15000, 5)])
+def test_block_logits_are_the_bytes_of_one_forward(hidden, N, T):
+    # the step count does not change which kernel a product takes, so the
+    # 15000-shot case keeps the whole-set forward small with a short input
+    model = LstmNetwork(input_dim=2, hidden=hidden, seed=3)
+    x = _inputs(T, N)
+    whole, _ = model.forward(x)
+    assert model.predict_logits(x).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, PREDICT_BLOCK + 1, 1300, 3001])
+def test_block_logits_agree_with_one_forward(N):
+    model = LstmNetwork(input_dim=2, hidden=(16,), seed=4)
+    x = _inputs(20, N, seed=N)
+    got = model.predict_logits(x)
+    whole, _ = model.forward(x)
+    assert got.shape == whole.shape
+    assert _relative(got, whole) < 1e-12
+    assert np.array_equal(model.predict(x), np.argmax(whole, axis=1))
+
+
+def test_dense_blocks_agree_with_one_forward(rng):
+    model = DenseNetwork(input_dim=6, seed=2)
+    x = rng.normal(size=(1300, 6))
+    whole, _ = model.forward(x)
+    assert _relative(model.predict_logits(x), whole) < 1e-12
+
+
+def test_prediction_memory_does_not_grow_with_the_shots():
+    # one forward over 3000 shots of 50 steps keeps about 135 MB of caches
+    model = LstmNetwork(input_dim=2, hidden=(16,), seed=5)
+    x = _inputs(50, 3000)
+    tracemalloc.start()
+    try:
+        model.predict_proba(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -14,7 +14,7 @@ from readoutkit import (
     synthesize_shot,
 )
 from readoutkit.errors import DataError
-from readoutkit.sim import _envelope, decay_statistics
+from readoutkit.sim import _Renderer, decay_statistics
 
 
 def test_config_defaults_are_valid():
@@ -130,7 +130,7 @@ def test_envelope_ring_up_matches_first_order_law():
         duration=300.0, ring_time=40.0, noise_sigma=0.0, t1=(None, None)
     )
     path = StatePath(((1, 0.0, cfg.duration),))
-    env = _envelope(path, cfg, cfg.n_samples)
+    env = _Renderer(cfg).envelope(path)
     amp, phase = cfg.state_envelopes[1]
     target = amp * np.exp(1j * phase)
     t = np.arange(cfg.n_samples) * cfg.dt
@@ -141,7 +141,7 @@ def test_envelope_ring_up_matches_first_order_law():
 def test_envelope_instant_when_ring_time_zero():
     cfg = SimConfig(duration=100.0, ring_time=0.0, t1=(None, None))
     path = StatePath(((2, 0.0, cfg.duration),))
-    env = _envelope(path, cfg, cfg.n_samples)
+    env = _Renderer(cfg).envelope(path)
     amp, phase = cfg.state_envelopes[2]
     assert np.allclose(env, amp * np.exp(1j * phase), atol=1e-15)
 
@@ -149,7 +149,7 @@ def test_envelope_instant_when_ring_time_zero():
 def test_envelope_continuous_across_transition():
     cfg = SimConfig(duration=200.0, ring_time=30.0, t1=(None, None))
     path = StatePath(((1, 0.0, 100.3), (0, 100.3, cfg.duration)))
-    env = _envelope(path, cfg, cfg.n_samples)
+    env = _Renderer(cfg).envelope(path)
     # no jumps bigger than a plausible one-sample slope bound
     steps = np.abs(np.diff(env))
     assert steps.max() < 2.0 * cfg.dt / cfg.ring_time
@@ -161,7 +161,7 @@ def test_noiseless_shot_is_modulated_envelope():
     )
     path = sample_state_path(2, cfg, shot_rng(1, 0))
     shot = synthesize_shot(path, cfg, shot_rng(1, 0), shot_id=0)
-    env = _envelope(path, cfg, cfg.n_samples)
+    env = _Renderer(cfg).envelope(path)
     t = np.arange(cfg.n_samples) * cfg.dt
     expected = np.real(env * np.exp(2j * np.pi * cfg.f_if * t))
     assert np.allclose(shot.samples, expected.astype(np.float32), atol=1e-6)

@@ -21,7 +21,7 @@ from readoutkit import (
     shot_rng,
     synthesize_shot,
 )
-from readoutkit.sim import STATES, _envelope
+from readoutkit.sim import STATES, _Renderer
 
 
 def _reference_envelope(path, cfg, n):
@@ -128,9 +128,8 @@ def test_envelope_matches_reference(name):
     cfg = CONFIGS[name]
     for attempt in range(30):
         path = sample_state_path(attempt % 3, cfg, shot_rng(cfg.seed, attempt))
-        for n in (cfg.n_samples, cfg.n_samples // 3):
-            got = _envelope(path, cfg, n)
-            assert got.tobytes() == _reference_envelope(path, cfg, n).tobytes()
+        got = _Renderer(cfg).envelope(path)
+        assert got.tobytes() == _reference_envelope(path, cfg, cfg.n_samples).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
