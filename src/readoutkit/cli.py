@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, pipeline as pl
 from .dataio import (
     canonical_json,
@@ -183,17 +181,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.max_shots is not None and args.max_shots < 1:
+        raise ConfigurationError(f"--max-shots must be >= 1, not {args.max_shots}")
     dataset = load_dataset(args.data)
+    dataset = Dataset(shots=dataset.shots[: args.max_shots], config=dataset.config)
     if args.format == "csv":
-        n = export_csv(dataset, args.out, max_shots=args.max_shots)
+        n = export_csv(dataset, args.out)
         print(f"wrote {n} shots to {args.out}")
     else:
         cfg = dataset.config or SimConfig()
-        shots = dataset.shots[: args.max_shots] if args.max_shots else dataset.shots
-        pts = pl.integrated_points(shots, cfg.f_if)
-        labels = np.array([s.label for s in shots])
-        evaluation.scatter_svg(pts, labels, args.out)
-        print(f"wrote scatter of {len(shots)} integrated shots to {args.out}")
+        pts = pl.integrated_points(dataset.shots, cfg.f_if)
+        evaluation.scatter_svg(pts, dataset.labels, args.out)
+        print(f"wrote scatter of {len(dataset)} integrated shots to {args.out}")
     return 0
 
 

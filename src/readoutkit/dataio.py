@@ -7,9 +7,9 @@ Dataset layout (little-endian):
     u64           shot count
     u32           samples per shot
     f64           sample rate (samples per ns)
-    per shot      u8 label, u8 herald flag, f32 samples: one ``_record_dtype(n)``
-                  record; a load reads them all into one block with one call,
-                  and each shot's ``samples`` is a writable row view of it
+    per shot      u8 label (0-2), u8 herald flag (0-1), f32 samples: one
+                  ``_record_dtype(n)`` record; a load reads them all into one
+                  block, and each shot's ``samples`` is a writable row of it
 
 A ``<name>.json`` sidecar written next to the file records the generating
 config and seed so ground-truth paths can be regenerated on load.
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FileFormatError
-from .sim import Dataset, RawShot, SimConfig, regenerate_paths
+from .sim import STATES, Dataset, RawShot, SimConfig, regenerate_paths, shot_format
 
 DATASET_MAGIC = b"RKIT-DATASET"
 DATASET_VERSION = 1
@@ -74,12 +74,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     shots = dataset.shots
     if not shots:
         raise DataError("refusing to write an empty dataset")
-    n_samples = len(shots[0].samples)
-    rate = shots[0].sample_rate
-    for s in shots:
-        if len(s.samples) != n_samples or s.sample_rate != rate:
-            raise DataError("all shots in a dataset must share length and rate")
-
+    n_samples, rate = shot_format(shots)
     dtype = _record_dtype(n_samples)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(shots), n_samples, rate))
@@ -125,6 +120,13 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
     except ValueError as e:  # numpy caps a record at 2 GiB
         raise FileFormatError(f"{path}: records of {n_samples} samples are too large") from e
     records = np.fromfile(path, dtype=dtype, count=count, offset=_HEADER.size)
+    for column, allowed in (("label", len(STATES)), ("herald", 2)):
+        bad = np.flatnonzero(records[column] >= allowed)
+        if len(bad):
+            raise FileFormatError(
+                f"{path}: row {bad[0]} has {column} byte {records[column][bad[0]]}, "
+                f"not one of {tuple(range(allowed))}"
+            )
 
     config = None
     sc = sidecar_path(path)
@@ -154,13 +156,12 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
     return Dataset(shots=shots, config=config)
 
 
-def export_csv(dataset: Dataset, path: str | Path, max_shots: int | None = None) -> int:
+def export_csv(dataset: Dataset, path: str | Path) -> int:
     """Flatten shots to CSV (shot_id, label, herald, s0..sN).  Returns rows."""
-    path = Path(path)
-    shots = dataset.shots[:max_shots] if max_shots else dataset.shots
+    shots = dataset.shots
     if not shots:
         raise DataError("no shots to export")
-    n = len(shots[0].samples)
+    n, _ = shot_format(shots)
     header = "shot_id,label,herald," + ",".join(f"s{i}" for i in range(n))
     with open(path, "w") as f:
         f.write(header + "\n")

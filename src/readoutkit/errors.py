@@ -1,8 +1,17 @@
-"""Exception types shared across the toolkit.
+"""Exception types, and the check for a finite number, shared across the toolkit.
 
 The CLI maps these onto exit statuses: configuration/validation problems
 exit 2, numerical failures exit 3, I/O problems exit 4.
 """
+
+import sys
+from numbers import Real
+
+
+def is_finite_number(value) -> bool:
+    """A real number that is finite as a float; bools are not numbers."""
+    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
+    return finite and not isinstance(value, bool)
 
 
 class ReadoutKitError(Exception):

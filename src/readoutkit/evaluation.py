@@ -72,12 +72,9 @@ def binomial_stderr(p: float, n: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / n))
 
 
-def evaluate(pipeline: TrainedPipeline, shots: list[RawShot], name: str | None = None) -> EvalReport:
+def evaluate(pipeline: TrainedPipeline, shots: list[RawShot]) -> EvalReport:
     labels = np.array([s.label for s in shots], dtype=int)
-    preds = pipeline.predict(shots)
-    return report_from_predictions(
-        labels, preds, name=name or pipeline.name
-    )
+    return report_from_predictions(labels, pipeline.predict(shots), name=pipeline.name)
 
 
 def report_from_predictions(
@@ -214,8 +211,8 @@ def confusion_table(report: EvalReport) -> str:
 _SVG_COLORS = ("#1f77b4", "#2ca02c", "#d62728")
 
 
-def scatter_svg(points: np.ndarray, labels: np.ndarray, path: str | Path, size: int = 480) -> None:
-    """Write a minimal SVG scatter of integrated I-Q points by class."""
+def scatter_svg(points: np.ndarray, labels: np.ndarray, path: str | Path) -> None:
+    """Write a minimal 480-pixel SVG scatter of integrated I-Q points by class."""
     pts = np.asarray(points, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -223,7 +220,7 @@ def scatter_svg(points: np.ndarray, labels: np.ndarray, path: str | Path, size: 
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    margin = 20.0
+    size, margin = 480, 20.0
     scale = (size - 2 * margin) / span
 
     parts = [

@@ -69,10 +69,10 @@ class GmmClassifier:
         return cls(means, covs, priors)
 
     def log_posteriors(self, points: np.ndarray) -> np.ndarray:
-        """Unnormalized class log-posteriors, shape (n, n_classes)."""
+        """Unnormalized class log-posteriors of (n, dim) points, shape (n, n_classes)."""
         X = np.asarray(points, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        if X.ndim != 2:
+            raise ConfigurationError("points must be (n, dim)")
         if X.shape[1] != self.dim:
             raise IncompatibilityError(
                 f"model fit on {self.dim}-D points, got {X.shape[1]}-D"

@@ -8,8 +8,10 @@ from numbers import Integral
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..sim import is_finite_number
+from ..errors import ConfigurationError, is_finite_number
+
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,17 +71,8 @@ class Adam:
     position, so the arrays must be passed in the same order every step.
     """
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[np.ndarray]):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -88,11 +81,11 @@ class Adam:
         if len(grads) != len(self.params):
             raise ConfigurationError("gradient list does not match the parameter list")
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)

@@ -105,6 +105,8 @@ def load_model(path: str | Path):
             f"parameter count mismatch: file has {count}, architecture needs {expected}"
         )
     flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    if not np.isfinite(flat).all():
+        raise FileFormatError(f"{path} holds a non-finite parameter")
 
     if arch["kind"] == "gmm":
         try:

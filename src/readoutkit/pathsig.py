@@ -67,8 +67,6 @@ def signature(points: np.ndarray, order: int) -> SignatureVector:
     batch of one by :func:`batch_signature` and split into its levels.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ConfigurationError("signature expects an (n, dim) point array")
     dim = pts.shape[1]

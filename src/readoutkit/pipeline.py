@@ -48,7 +48,13 @@ import numpy as np
 
 from . import dsp
 from .dataio import read_sidecar, sidecar_path
-from .errors import ConfigurationError, DataError, FileFormatError, IncompatibilityError
+from .errors import (
+    ConfigurationError,
+    DataError,
+    FileFormatError,
+    IncompatibilityError,
+    is_finite_number,
+)
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
 from .nn.loss import OUTPUTS
@@ -57,11 +63,25 @@ from .nn.optim import TrainConfig
 from .nn.serialize import load_model, save_model
 from .nn.train import train
 from .pathsig import batch_signature, path_transform
-from .sim import Dataset, RawShot, is_finite_number
+from .sim import Dataset, RawShot, shot_format
 
-STAGE_OPS = ("bandpass", "demodulate", "bin", "path_transform", "integrate")
-MODEL_KINDS = ("gmm", "lstm", "dense")
-WEIGHTING_KINDS = ("uniform", "gmm_confidence")
+# the fields a descriptor mapping may hold, by stage op, model kind,
+# weighting kind and dense feature type; a name is looked up in the tuple of
+# the keys, since a descriptor value need not be hashable
+STAGE_FIELDS = {
+    "bandpass": ("op", "center", "half_width"),
+    "demodulate": ("op", "frequency"),
+    "bin": ("op", "size"),
+    "path_transform": ("op", "weights"),
+    "integrate": ("op",),
+}
+MODEL_FIELDS = {
+    "gmm": ("kind",),
+    "lstm": ("kind", "hidden", "output", "output_bias"),
+    "dense": ("kind", "hidden", "output", "features"),
+}
+WEIGHTING_FIELDS = {"uniform": ("kind",), "gmm_confidence": ("kind", "floor")}
+FEATURE_FIELDS = {"signature": ("type", "order"), "flat": ("type",)}
 CHUNK = 512
 # the bin-domain front end: at most this many multiply-adds per raw sample
 # (it costs as much as the per-sample chain at about 10 on 2000-sample
@@ -75,10 +95,17 @@ def _is_size(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
+def _known_fields(mapping: dict, fields: tuple, what: str) -> None:
+    unknown = sorted(map(str, mapping.keys() - set(fields)))
+    if unknown:
+        raise ConfigurationError(f"{what} has unknown fields {unknown}; it takes {list(fields)}")
+
+
 def normalize_descriptor(desc: dict) -> dict:
     """Fill defaults and validate; returns a deep copy safe to serialize.
 
-    Every field is checked for type and range, so a bad descriptor raises
+    Every field is checked for type and range, and every mapping may hold
+    only its documented fields, so a bad descriptor raises
     ``ConfigurationError``.  Checks that need the trace length (a ``bin``
     longer than the trajectory, ``path_transform`` weights of the wrong
     length) run when the stages meet the data.
@@ -86,17 +113,20 @@ def normalize_descriptor(desc: dict) -> dict:
     if not isinstance(desc, dict):
         raise ConfigurationError("pipeline descriptor must be a mapping")
     d = copy.deepcopy(desc)
+    _known_fields(d, ("name", "stages", "model", "weighting", "train"), "descriptor")
     if not isinstance(d.setdefault("name", "pipeline"), str):
         raise ConfigurationError("pipeline name must be a string")
     stages = d.get("stages")
     if not isinstance(stages, list) or not stages:
         raise ConfigurationError("descriptor needs a non-empty 'stages' list")
     model = d.get("model")
-    if not isinstance(model, dict) or model.get("kind") not in MODEL_KINDS:
-        raise ConfigurationError(f"model kind must be one of {MODEL_KINDS}")
+    if not isinstance(model, dict) or model.get("kind") not in tuple(MODEL_FIELDS):
+        raise ConfigurationError(f"model kind must be one of {tuple(MODEL_FIELDS)}")
+    _known_fields(model, MODEL_FIELDS[model["kind"]], f"{model['kind']} model")
     weighting = d.setdefault("weighting", {"kind": "uniform"})
-    if not isinstance(weighting, dict) or weighting.get("kind") not in WEIGHTING_KINDS:
-        raise ConfigurationError(f"weighting kind must be one of {WEIGHTING_KINDS}")
+    if not isinstance(weighting, dict) or weighting.get("kind") not in tuple(WEIGHTING_FIELDS):
+        raise ConfigurationError(f"weighting kind must be one of {tuple(WEIGHTING_FIELDS)}")
+    _known_fields(weighting, WEIGHTING_FIELDS[weighting["kind"]], "weighting")
     if weighting["kind"] == "gmm_confidence":
         floor = weighting.setdefault("floor", 0.0)
         if not (is_finite_number(floor) and 0 <= floor <= 1):
@@ -107,8 +137,9 @@ def normalize_descriptor(desc: dict) -> dict:
         if not isinstance(st, dict):
             raise ConfigurationError(f"stage {k} must be a mapping, not {type(st).__name__}")
         op = st.get("op")
-        if op not in STAGE_OPS:
+        if op not in tuple(STAGE_FIELDS):
             raise ConfigurationError(f"unknown stage op {op!r}")
+        _known_fields(st, STAGE_FIELDS[op], f"stage {k} ({op})")
         if op == "bandpass":
             if demod_seen:
                 raise ConfigurationError("bandpass must come before demodulate")
@@ -166,8 +197,9 @@ def normalize_descriptor(desc: dict) -> dict:
         else:
             hidden = model.setdefault("hidden", [32, 16, 8])
             features = model.setdefault("features", {"type": "signature", "order": 5})
-            if not isinstance(features, dict) or features.get("type") not in ("signature", "flat"):
+            if not isinstance(features, dict) or features.get("type") not in tuple(FEATURE_FIELDS):
                 raise ConfigurationError("dense features must be 'signature' or 'flat'")
+            _known_fields(features, FEATURE_FIELDS[features["type"]], "dense features")
             if features["type"] == "signature":
                 if not _is_size(features.setdefault("order", 5)):
                     raise ConfigurationError("signature order must be an integer >= 1")
@@ -291,9 +323,7 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]):
     """
     if not shots:
         raise ConfigurationError("no shots to preprocess")
-    n, rate = len(shots[0].samples), shots[0].sample_rate
-    if any(len(s.samples) != n or s.sample_rate != rate for s in shots):
-        raise DataError("all shots in one call must share length and rate")
+    _, rate = shot_format(shots)
     blocks = []
     for start in range(0, len(shots), CHUNK):
         block = np.stack([s.samples for s in shots[start : start + CHUNK]]).astype(float)
@@ -308,13 +338,6 @@ def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
     stages = [{"op": "demodulate", "frequency": frequency}, {"op": "integrate"}]
     _, pts, _ = preprocess_batch(shots, stages)
     return pts
-
-
-def _demod_frequency(stages: list[dict]) -> float:
-    for st in stages:
-        if st["op"] == "demodulate":
-            return st["frequency"]
-    raise ConfigurationError("stage list has no demodulate")
 
 
 def _model_inputs(desc: dict, kind: str, arr: np.ndarray):
@@ -429,7 +452,8 @@ def train_pipeline(
 
     weighting = desc["weighting"]
     if weighting["kind"] == "gmm_confidence":
-        pts = integrated_points(shots, _demod_frequency(desc["stages"]))
+        frequency = next(st["frequency"] for st in desc["stages"] if st["op"] == "demodulate")
+        pts = integrated_points(shots, frequency)
         ref = GmmClassifier.fit(pts, labels)
         weights = ref.confidence_weights(pts, labels, floor=weighting["floor"])
     else:
@@ -443,16 +467,14 @@ def train_pipeline(
 
 
 def standard_pipelines(
-    frequency: float = 0.1,
-    half_width: float = 0.005,
-    bin_size: int = 40,
-    train: dict | None = None,
+    frequency: float = 0.1, bin_size: int = 40, train: dict | None = None
 ) -> dict[str, dict]:
     """The stock descriptor set: the integration baseline, raw and filtered
-    sequence models, and the signature-feature dense model."""
+    sequence models (the filter 0.005 /ns either side of ``frequency``), and
+    the signature-feature dense model."""
     train = dict(train or {})
     demod = {"op": "demodulate", "frequency": frequency}
-    bp = {"op": "bandpass", "center": frequency, "half_width": half_width}
+    bp = {"op": "bandpass", "center": frequency, "half_width": 0.005}
     binst = {"op": "bin", "size": bin_size}
     return {
         "gmm": {

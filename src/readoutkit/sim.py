@@ -22,14 +22,13 @@ shots_per_state)`` always yields the same bytes and the same paths.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, is_finite_number
 
 STATES = (0, 1, 2)
 
@@ -58,12 +57,6 @@ class StatePath:
     @property
     def has_transition(self) -> bool:
         return len(self.segments) > 1
-
-
-def is_finite_number(value) -> bool:
-    """A real number that is finite as a float; bools are not numbers."""
-    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
-    return finite and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -134,19 +127,11 @@ class SimConfig:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
 
     def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "sample_rate": self.sample_rate,
-            "t1": list(self.t1),
-            "gamma_up": self.gamma_up,
-            "state_envelopes": [list(e) for e in self.state_envelopes],
-            "f_if": self.f_if,
-            "ring_time": self.ring_time,
-            "noise_sigma": self.noise_sigma,
-            "phase_noise_sigma": self.phase_noise_sigma,
-            "herald_error": self.herald_error,
-            "seed": self.seed,
-        }
+        """Every field, as plain JSON values (lists for the tuple fields)."""
+        d = {key: getattr(self, key) for key in self.__dataclass_fields__}
+        d["t1"] = list(self.t1)
+        d["state_envelopes"] = [list(e) for e in self.state_envelopes]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -217,6 +202,15 @@ class Dataset:
     def counts(self) -> dict[int, int]:
         labels = self.labels
         return {s: int(np.sum(labels == s)) for s in STATES}
+
+
+def shot_format(shots: list[RawShot]) -> tuple[int, float]:
+    """``(samples per shot, sample rate)`` of a non-empty shot list;
+    ``DataError`` unless every shot has the same."""
+    n, rate = len(shots[0].samples), shots[0].sample_rate
+    if any(len(s.samples) != n or s.sample_rate != rate for s in shots):
+        raise DataError("all shots must share length and rate")
+    return n, rate
 
 
 def shot_rng(seed: int, shot_id: int) -> np.random.Generator:
@@ -444,12 +438,11 @@ def regenerate_paths(
     if shots is not None:
         if len(shots) != 3 * shots_per_state:
             raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")
-        for shot in shots:
-            if len(shot.samples) != cfg.n_samples or shot.sample_rate != cfg.sample_rate:
-                raise DataError(
-                    f"config renders {cfg.n_samples} samples at rate {cfg.sample_rate}, "
-                    f"not the shots' {len(shot.samples)} at {shot.sample_rate}"
-                )
+        if shots and shot_format(shots) != (cfg.n_samples, cfg.sample_rate):
+            raise DataError(
+                f"config renders {cfg.n_samples} samples at rate {cfg.sample_rate}, "
+                f"not the shots' {len(shots[0].samples)} at {shots[0].sample_rate}"
+            )
     render = _Renderer(cfg)
     paths, attempts = [], []
     for k, (attempt, path, rng) in enumerate(_scan(cfg, shots_per_state)):

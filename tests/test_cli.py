@@ -382,6 +382,10 @@ def _wider_hidden(meta):
     meta["pipeline"]["model"]["hidden"] = [9]
 
 
+def _stray_model_field(meta):
+    meta["pipeline"]["model"]["output"] = "softmax"
+
+
 @pytest.mark.parametrize(
     "pipeline, edit, message",
     [
@@ -390,8 +394,16 @@ def _wider_hidden(meta):
         ("gmm", _no_stages, "invalid pipeline descriptor"),
         ("gmm", _lstm_descriptor, "describes a model other than"),
         ("quick", _wider_hidden, "describes a model other than"),
+        ("gmm", _stray_model_field, "invalid pipeline descriptor"),
     ],
-    ids=["missing", "no-pipeline", "bad-descriptor", "gmm-file-lstm-descriptor", "hidden-mismatch"],
+    ids=[
+        "missing",
+        "no-pipeline",
+        "bad-descriptor",
+        "gmm-file-lstm-descriptor",
+        "hidden-mismatch",
+        "unknown-descriptor-field",
+    ],
 )
 def test_model_sidecar_faults_exit_4(workdir, capsys, pipeline, edit, message):
     data = simulate(workdir)
@@ -562,3 +574,52 @@ def test_pipeline_with_non_mapping_stage_exits_2(workdir, capsys):
     rc = main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(out)])
     assert rc == 2
     assert "stage 0 must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [("label", 3), ("herald", 2)], ids=["label", "herald"])
+@pytest.mark.parametrize("command", ["inspect", "train", "evaluate"])
+def test_out_of_range_record_byte_exits_4(workdir, capsys, command, column, value):
+    # the last 10 of 90 records get a label outside the states, or a herald
+    # byte that is not a flag
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    raw = bytearray(data.read_bytes())
+    record = 2 + 4 * 400
+    header = len(raw) - 90 * record
+    for row in range(80, 90):
+        raw[header + row * record + ("label", "herald").index(column)] = value
+    data.write_bytes(bytes(raw))
+    capsys.readouterr()
+    args = {
+        "inspect": ["--data", str(data)],
+        "train": ["--data", str(data), "--pipeline", "gmm", "--out", str(workdir / "m.rkm")],
+        "evaluate": ["--model", str(model), "--data", str(data)],
+    }[command]
+    assert main([command, *args]) == 4
+    assert f"row 80 has {column} byte {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("pipeline", ["gmm", "quick"])
+def test_model_with_non_finite_parameter_exits_4(workdir, capsys, pipeline, value):
+    data = simulate(workdir)
+    model = workdir / "m.rkm"
+    spec = "gmm" if pipeline == "gmm" else str(workdir / "pipeline.json")
+    assert main(["train", "--data", str(data), "--pipeline", spec, "--out", str(model)]) == 0
+    model.write_bytes(model.read_bytes()[:-8] + np.array(value, "<f8").tobytes())
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "non-finite parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_shots", ["0", "-5"])
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_export_refuses_max_shots_below_one(workdir, capsys, fmt, max_shots):
+    data = simulate(workdir)
+    out = workdir / f"shots.{fmt}"
+    capsys.readouterr()
+    args = ["--data", str(data), "--format", fmt, "--max-shots", max_shots, "--out", str(out)]
+    assert main(["export", *args]) == 2
+    assert "--max-shots must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -277,7 +277,7 @@ def test_refuses_empty_dataset(tmp_path):
 
 def test_csv_export(tmp_path, quiet_dataset):
     path = tmp_path / "shots.csv"
-    n = export_csv(quiet_dataset, path, max_shots=5)
+    n = export_csv(Dataset(shots=quiet_dataset.shots[:5]), path)
     assert n == 5
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 6
@@ -288,6 +288,13 @@ def test_csv_export(tmp_path, quiet_dataset):
     first = lines[1].split(",")
     assert int(first[1]) == quiet_dataset.shots[0].label
     assert float(first[3]) == float(quiet_dataset.shots[0].samples[0])
+
+
+def test_csv_export_refuses_shots_of_mixed_length(tmp_path):
+    # the header names one shot length, so every row must have it
+    shots = _mixed_shots(1, 3) + _mixed_shots(1, 5)
+    with pytest.raises(DataError, match="must share length and rate"):
+        export_csv(Dataset(shots=shots), tmp_path / "mixed.csv")
 
 
 @pytest.mark.parametrize(

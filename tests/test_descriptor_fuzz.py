@@ -154,7 +154,7 @@ def test_fuzzed_descriptors(data, desc):
         assert _train(data, desc) in (0, 2, 3)
 
 
-LSTM = BASES[1]
+GMM, LSTM, DENSE = BASES[0], BASES[1], BASES[3]
 
 
 @pytest.mark.parametrize(
@@ -177,8 +177,28 @@ LSTM = BASES[1]
             id="bin-too-long-after-bandpass",
         ),
         pytest.param({**LSTM, "model": {"kind": "lstm", "hidden": "16"}}, id="hidden-string"),
+        # each mapping holds only the fields it documents, so a misspelt
+        # field cannot fall back to its default
+        pytest.param({**LSTM, "nmae": "x"}, id="unknown-top-level-field"),
+        pytest.param(
+            {**LSTM, "stages": [DEMOD, {"op": "bin", "size": 2, "sise": 3}]},
+            id="unknown-stage-field",
+        ),
+        pytest.param({**LSTM, "model": {"kind": "lstm", "hiden": [64]}}, id="unknown-lstm-field"),
+        pytest.param({**GMM, "model": {"kind": "gmm", "output": "bogus"}}, id="unknown-gmm-field"),
+        pytest.param(
+            {**DENSE, "model": {**DENSE["model"], "output_bias": True}}, id="unknown-dense-field"
+        ),
+        pytest.param(
+            {**DENSE, "model": {"kind": "dense", "features": {"type": "flat", "order": 3}}},
+            id="unknown-features-field",
+        ),
+        pytest.param(
+            {**LSTM, "weighting": {"kind": "uniform", "floor": 0.5}}, id="unknown-weighting-field"
+        ),
     ],
 )
 def test_reported_descriptors_exit_2(data, desc):
     assert _train(data, desc) == 2
     assert _train(data, desc, "--seed", "3") == 2
+

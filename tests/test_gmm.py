@@ -136,3 +136,13 @@ def test_dimension_mismatch_raises(rng):
     model = GmmClassifier.fit(X, y)
     with pytest.raises(IncompatibilityError):
         model.predict(np.zeros((3, 5)))
+
+
+def test_posteriors_need_a_points_matrix(rng):
+    # a single point is a (1, dim) array, as in fit
+    X, y = three_blobs(rng)
+    model = GmmClassifier.fit(X, y)
+    for points in (X[0], X[None]):
+        with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
+            model.predict(points)
+    assert model.predict(X[:1]).shape == (1,)

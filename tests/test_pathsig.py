@@ -24,8 +24,6 @@ def _per_path_signature(points, order):
     """Per-path Chen loop that skips stationary steps: a reference that
     shares no code with ``batch_signature`` and gives the same bytes."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     dim = pts.shape[1]
     sig = [np.ones(())] + [np.zeros((dim,) * k) for k in range(1, order + 1)]
     for n in range(1, pts.shape[0]):
@@ -207,19 +205,19 @@ def test_signature_bytes_match_per_path_chen_loop(n, dim, order):
     pts = rng.normal(size=(n, dim))
     if n > 2:
         pts[2] = pts[1]  # a stationary step
-    inputs = [pts, pts[:, 0]] if dim == 1 else [pts]
-    for points in inputs:
-        got = signature(points, order).levels
-        want = _per_path_signature(points, order)
-        assert len(got) == order + 1
-        for k, (lv_got, lv_want) in enumerate(zip(got, want)):
-            assert lv_got.shape == lv_want.shape == (dim,) * k
-            assert lv_got.tobytes() == lv_want.tobytes()
+    got = signature(pts, order).levels
+    want = _per_path_signature(pts, order)
+    assert len(got) == order + 1
+    for k, (lv_got, lv_want) in enumerate(zip(got, want)):
+        assert lv_got.shape == lv_want.shape == (dim,) * k
+        assert lv_got.tobytes() == lv_want.tobytes()
 
 
 def test_signature_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         signature(np.zeros((0, 2)), 3)
+    with pytest.raises(ConfigurationError):
+        signature(np.zeros(3), 3)  # a 1-D path is a (n, 1) array
     with pytest.raises(ConfigurationError):
         signature(np.zeros((3, 2)), -1)
     with pytest.raises(ConfigurationError):
