@@ -6,7 +6,8 @@ Dataset layout (little-endian):
     bytes 12..15  u32 format version (currently 1)
     u64           shot count
     u32           samples per shot
-    f64           sample rate (samples per ns)
+    f64           sample rate (samples per ns); positive and finite, and the
+                  sidecar config's ``sample_rate`` when the sidecar has one
     per shot      u8 label (0-2), u8 herald flag (0-1), f32 samples: one
                   ``_record_dtype(n)`` record; a load reads them all into one
                   block, and each shot's ``samples`` is a writable row of it
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FileFormatError
+from .errors import ConfigurationError, DataError, FileFormatError, is_finite_number
 from .sim import STATES, Dataset, RawShot, SimConfig, regenerate_paths, shot_format
 
 DATASET_MAGIC = b"RKIT-DATASET"
@@ -75,6 +76,10 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     if not shots:
         raise DataError("refusing to write an empty dataset")
     n_samples, rate = shot_format(shots)
+    if dataset.config is not None and dataset.config.sample_rate != rate:
+        raise DataError(
+            f"shots are sampled at {rate!r}, the config at {dataset.config.sample_rate!r}"
+        )
     dtype = _record_dtype(n_samples)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(shots), n_samples, rate))
@@ -115,6 +120,10 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
         raise FileFormatError(f"unsupported dataset version {version}")
     if size != _HEADER.size + count * (2 + 4 * n_samples):
         raise FileFormatError(f"{path} is truncated or padded")
+    if not (is_finite_number(rate) and rate > 0):
+        raise FileFormatError(
+            f"{path}: header sample rate {rate!r} is not a finite positive number"
+        )
     try:
         dtype = _record_dtype(n_samples)
     except ValueError as e:  # numpy caps a record at 2 GiB
@@ -138,6 +147,11 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
                 config.validate()
             except ConfigurationError as e:
                 raise FileFormatError(f"dataset sidecar {sc} has a bad config: {e}") from e
+            if config.sample_rate != rate:
+                raise FileFormatError(
+                    f"{path}: header sample rate {rate!r} differs from the sidecar "
+                    f"config's {config.sample_rate!r}"
+                )
 
     labels, heralds = records["label"].tolist(), (records["herald"] != 0).tolist()
     shots = [

@@ -1,8 +1,9 @@
 """Batched multi-layer LSTM classifier with exact backpropagation through time.
 
-The network takes (time, batch, feature) input.  Each layer keeps its input
-and recurrent weights in single combined matrices with gate blocks ordered
-input, forget, cell, output:
+The network takes (time, batch, feature) input.  Each layer keeps its
+weights in one stacked block ``W = [Wh; Wx; b]`` of shape
+(hidden + input + 1, 4*hidden), with gate blocks ordered input, forget,
+cell, output; ``Wh``, ``Wx`` and ``b`` are views of it:
 
     z = x_t @ Wx + h_{t-1} @ Wh + b            (batch, 4*hidden)
     i, f, o = sigmoid of their blocks;  g = tanh of its block
@@ -12,40 +13,51 @@ Initial hidden and cell states are zero.  Classification logits are a linear
 map of the final hidden state, bias-free by default.
 
 Inside the network the layers run gate-major, with the batch on the last
-axis: a layer sees its input as (T, D, N), computes each step's gates as one
-(4*hidden, N) slab ``z = Wx.T @ x_t + Wh.T @ h_{t-1} + b``, and keeps states
-(T, hidden, N) and gates (T, 4*hidden, N).  Each gate block is then one
-contiguous (hidden, N) slab, so the per-step elementwise work, forward and
-backward, runs on contiguous memory, written in place into preallocated
-buffers; the backward keeps the per-gate formulas' operation order.
+axis.  A layer writes its input into a (T + 1, hidden + D + 1, N) operand
+buffer whose slot t holds ``[h_{t-1}; x_t; 1]``, and each step's gates are
+one product ``z = W.T @ ops[t]`` written straight into the (T, 4*hidden, N)
+gate cache: each gate is one dot product over the stacked rows, the bias
+included, with no separate input projection or bias pass.  ``h_t`` is
+written into slot t + 1, so the layer's states are views of the buffer.
+Each gate block is one contiguous (hidden, N) slab, so the per-step
+elementwise work, forward and backward, runs on contiguous memory, written
+in place into preallocated buffers; the backward keeps the per-gate
+formulas' operation order.
 
 The forward pass evaluates all four gate blocks with one ``tanh`` per step,
 written in place into the gate cache.  It relies on the identity that
 ``activations.sigmoid`` computes, ``sigmoid(z) = 0.5 * (tanh(0.5 * z) + 1)``:
-the i, f and o columns of ``Wx``, ``Wh`` and ``b`` are halved once per call,
-so ``tanh`` sees ``0.5 * z`` for those blocks, and a per-row offset (1 or 0)
-and scale (0.5 or 1) then finish the three sigmoids and leave the cell block
-as plain ``tanh(z)``.  Halving is a power-of-two scale, so every product and
-partial sum comes out exactly half as large and the matmul rounds
-identically; the remaining operations run in the same order as
-``activations.sigmoid``.  The gates, and so the logits, caches and
-gradients, are bit-identical to evaluating each block on its own in the
-same layout, except where a halved value would fall into the subnormal
-range.
+the i, f and o columns of ``W`` are halved once per call, so ``tanh`` sees
+``0.5 * z`` for those blocks, and a per-row offset (1 or 0) and scale (0.5
+or 1) then finish the three sigmoids and leave the cell block as plain
+``tanh(z)``.  Halving is a power-of-two scale: every product and partial
+sum of the dot product, the bias term included, comes out exactly half as
+large, and the matmul rounds identically; the remaining operations run in
+the same order as ``activations.sigmoid``.  The gates, and so the logits,
+caches and gradients, are bit-identical to evaluating each block on its own
+from the same stacked product, except where a halved value would fall into
+the subnormal range.
 
-The backward sums every weight gradient in a fixed order: per step it adds
-``x_t @ dz_t.T`` to ``dWx``, ``h_{t-1} @ dz_t.T`` to ``dWh`` and
-``dz_t.sum(axis=1)`` to ``db``, from the last step to the first.  Each
-product has an inner dimension of one batch, never ``T * N``; a BLAS library
-may split a long inner dimension differently at each thread count, which
-rounds differently, so the trained bytes would depend on the thread count
-(``tests/test_thread_invariance.py`` checks this).
+Every product over the batch runs over fixed column blocks of
+``BATCH_BLOCK`` shots, in block order: the gate products, the recurrent and
+input gradients, the readout, and the weight gradients.  Per step the
+backward adds ``ops[t, :hidden] @ dz_t.T`` to ``dWh`` and one product over
+the rows ``[x_t; 1]`` to ``dWx`` and ``db`` together, block by block, from
+the last step to the first.  A BLAS library may split a product's inner
+dimension or its columns differently at each thread count, and a split can
+change the summation order or the kernel that computes some elements; that
+rounds differently, so a product over the whole batch, even one whose
+inner dimension is a single batch, would make the trained bytes depend on
+the thread count.  A fixed block, summed in a fixed order, keeps them equal
+(``tests/test_thread_invariance.py`` checks batches up to six blocks).
 
 Against the earlier row-major layout (states (T, N, hidden), gates
-(T, N, 4*hidden), ``h_t @ Wh`` and flat ``T * N`` gradient products) the
-results agree to rounding, not always bit for bit: a transposed product may
-take another BLAS kernel path, and the gradient sums run in another order.
-Hidden states differ by about 1e-16 and gradients by a few 1e-15 relative.
+(T, N, 4*hidden), ``h_t @ Wh`` plus a separate input projection and bias,
+and flat ``T * N`` gradient products) the results agree to rounding, not
+bit for bit: the stacked dot product sums its terms in another order, a
+transposed product may take another BLAS kernel path, and the gradient
+sums run in another order.  Logits and gradients differ by a few 1e-15
+relative.
 """
 
 from __future__ import annotations
@@ -54,6 +66,16 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .loss import OUTPUTS, Classifier
+
+
+# shots per column block of every product over the batch; the module
+# docstring says why the block is fixed
+BATCH_BLOCK = 256
+
+
+def batch_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``BATCH_BLOCK`` covering ``range(n)``."""
+    return [slice(s, s + BATCH_BLOCK) for s in range(0, n, BATCH_BLOCK)]
 
 
 def lstm_param_count(
@@ -76,60 +98,66 @@ class _Layer:
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
+        h, d = hidden_dim, input_dim
         sx = 1.0 / np.sqrt(input_dim)
         sh = 1.0 / np.sqrt(hidden_dim)
-        self.Wx = rng.uniform(-sx, sx, (input_dim, 4 * hidden_dim))
-        self.Wh = rng.uniform(-sh, sh, (hidden_dim, 4 * hidden_dim))
-        self.b = np.zeros(4 * hidden_dim)
-        self.b[hidden_dim : 2 * hidden_dim] = 1.0
+        # one block W = [Wh; Wx; b]; the named parameters are views of it
+        self.W = np.empty((h + d + 1, 4 * h))
+        self.Wh, self.Wx, self.b = self.W[:h], self.W[h : h + d], self.W[h + d]
+        self.Wx[...] = rng.uniform(-sx, sx, (d, 4 * h))
+        self.Wh[...] = rng.uniform(-sh, sh, (h, 4 * h))
+        self.b[...] = 0.0
+        self.b[h : 2 * h] = 1.0
 
     def forward(self, x: np.ndarray):
         """x is (T, input_dim, N); returns the (T, hidden, N) states and cache."""
-        T, _, N = x.shape
+        T, D, N = x.shape
         h = self.hidden_dim
         # one tanh covers all four gate blocks; the module docstring says why
         # the result is exact
         scale = np.full(4 * h, 0.5)
         scale[2 * h : 3 * h] = 1.0
-        WhT = np.ascontiguousarray((self.Wh * scale).T)
-        # input projections for every timestep; each step's gates are then
-        # computed in place over its own (4h, N) slab
-        gates = np.matmul((self.Wx * scale).T, x)
-        gates += (self.b * scale)[:, None]
+        WT = np.ascontiguousarray((self.W * scale).T)
+        # step t's operand [h_{t-1}; x_t; 1] is ops[t]; h_t goes to ops[t + 1]
+        ops = np.empty((T + 1, h + D + 1, N))
+        ops[0, :h] = 0.0
+        ops[:T, h : h + D] = x
+        ops[:T, h + D] = 1.0
+        ops[T, h:] = 0.0
+        gates = np.empty((T, 4 * h, N))
         cs = np.empty((T, h, N))
         tanh_cs = np.empty((T, h, N))
-        hs = np.empty((T, h, N))
-        z = np.empty((4 * h, N))
         ig = np.empty((h, N))
         # the sigmoid finish as full-size operands, one contiguous pass each
         offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(float)
         scale = np.repeat(scale[:, None], N, axis=1)
-        h_t = c_t = np.zeros((h, N))
+        blocks = batch_blocks(N)
+        c_t = np.zeros((h, N))
         for t in range(T):
             g = gates[t]
-            np.matmul(WhT, h_t, out=z)
-            g += z
+            for s in blocks:
+                np.matmul(WT, ops[t, :, s], out=g[:, s])
             np.tanh(g, out=g)
             g += offset
             g *= scale
             c_t = np.multiply(g[h : 2 * h], c_t, out=cs[t])
             c_t += np.multiply(g[:h], g[2 * h : 3 * h], out=ig)
-            h_t = np.multiply(g[3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=hs[t])
-        cache = (x, gates, cs, tanh_cs, hs)
-        return hs, cache
+            np.multiply(g[3 * h :], np.tanh(c_t, out=tanh_cs[t]), out=ops[t + 1, :h])
+        cache = (ops, gates, cs, tanh_cs)
+        return ops[1:, :h], cache
 
     def backward(self, cache, dh_seq: np.ndarray, input_grad: bool = True):
         """``(dx, (dWx, dWh, db))`` for the (T, hidden, N) state gradients
         ``dh_seq``; ``dx`` is ``None`` unless ``input_grad``."""
-        x, gates, cs, tanh_cs, hs = cache
-        T, D, N = x.shape
+        ops, gates, cs, tanh_cs = cache
+        T, _, N = gates.shape
         h = self.hidden_dim
-        dWx = np.zeros((D, 4 * h))
+        D = self.input_dim
         dWh = np.zeros((h, 4 * h))
-        db = np.zeros(4 * h)
-        dWx_t = np.empty_like(dWx)
+        dWxb = np.zeros((D + 1, 4 * h))
         dWh_t = np.empty_like(dWh)
-        dx = np.empty(x.shape) if input_grad else None
+        dWxb_t = np.empty_like(dWxb)
+        dx = np.empty((T, D, N)) if input_grad else None
         dz = np.empty((4 * h, N))
         dzi, dzf, dzg, dzo = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
         dh_rec = np.zeros((h, N))
@@ -138,6 +166,7 @@ class _Layer:
         one_minus = np.empty((4 * h, N))
         a = np.empty((h, N))
         zero = np.zeros((h, N))
+        blocks = batch_blocks(N)
         for t in range(T - 1, -1, -1):
             g = gates[t]
             gi, gf, gg, go = g[:h], g[h : 2 * h], g[2 * h : 3 * h], g[3 * h :]
@@ -170,16 +199,21 @@ class _Layer:
             dzo *= go
             dzo *= one_minus[3 * h :]
             dc *= gf
-            np.matmul(self.Wh, dz, out=dh_rec)
 
-            # weight gradients: one K = N product per step, summed in t order
-            dWx += np.matmul(x[t], dz.T, out=dWx_t)
-            if t > 0:
-                dWh += np.matmul(hs[t - 1], dz.T, out=dWh_t)
-            db += dz.sum(axis=1)
-            if input_grad:
-                np.matmul(self.Wx, dz, out=dx[t])
-        return dx, (dWx, dWh, db)
+            # per column block: the recurrent and input gradients, and the
+            # weight gradients from the operand rows, summed in t then block
+            # order; dWh skips t = 0, whose h_{-1} is zero; the row of ones
+            # gives db alongside dWx
+            op = ops[t]
+            for s in blocks:
+                dz_s = dz[:, s]
+                np.matmul(self.Wh, dz_s, out=dh_rec[:, s])
+                if t > 0:
+                    dWh += np.matmul(op[:h, s], dz_s.T, out=dWh_t)
+                dWxb += np.matmul(op[h:, s], dz_s.T, out=dWxb_t)
+                if input_grad:
+                    np.matmul(self.Wx, dz_s, out=dx[t, :, s])
+        return dx, (dWxb[:D], dWh, dWxb[D])
 
 
 class LstmNetwork(Classifier):
@@ -240,7 +274,9 @@ class LstmNetwork(Classifier):
     def param_arrays(self) -> list[np.ndarray]:
         """Parameter tensors in a fixed declaration order: per layer Wx, Wh,
         b, then the readout weight and optional bias.  Serialization, the
-        optimizer, and gradients all follow this order."""
+        optimizer, and gradients all follow this order.  A layer's Wx, Wh
+        and b are views of its stacked block, so they must be updated in
+        place, as the optimizer and ``load_model`` do."""
         out = []
         for layer in self.layers:
             out.extend([layer.Wx, layer.Wh, layer.b])
@@ -266,7 +302,9 @@ class LstmNetwork(Classifier):
             seq, cache = layer.forward(seq)
             caches.append(cache)
         h_final = seq[-1]
-        logits = h_final.T @ self.W_out
+        logits = np.empty((x.shape[1], self.output_dim))
+        for s in batch_blocks(x.shape[1]):
+            np.matmul(h_final[:, s].T, self.W_out, out=logits[s])
         if self.b_out is not None:
             logits = logits + self.b_out
         return logits, (caches, h_final, x.shape)
@@ -275,11 +313,13 @@ class LstmNetwork(Classifier):
         """Gradients aligned with :meth:`param_arrays`."""
         caches, h_final, x_shape = cache
         T, N, _ = x_shape
-        dW_out = h_final @ dlogits
+        dW_out = np.zeros_like(self.W_out)
+        dh_seq = np.zeros((T, self.hidden[-1], N))
+        for s in batch_blocks(N):
+            dW_out += h_final[:, s] @ dlogits[s]
+            np.matmul(self.W_out, dlogits[s].T, out=dh_seq[-1, :, s])
         db_out = dlogits.sum(axis=0) if self.b_out is not None else None
 
-        dh_seq = np.zeros((T, self.hidden[-1], N))
-        dh_seq[-1] = self.W_out @ dlogits.T
         layer_grads = []
         for i in reversed(range(len(self.layers))):
             # the bottom layer's input gradient would be the data's: unused

@@ -600,6 +600,38 @@ def test_out_of_range_record_byte_exits_4(workdir, capsys, command, column, valu
     assert f"row 80 has {column} byte {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -2.0, 1e-300, 4.0])
+@pytest.mark.parametrize("command", ["inspect", "train", "evaluate"])
+def test_corrupt_header_sample_rate_exits_4(workdir, capsys, command, rate):
+    # bytes 28-35 of the header hold the rate; the sidecar config says 2.0
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    raw = data.read_bytes()
+    data.write_bytes(raw[:28] + struct.pack("<d", rate) + raw[36:])
+    capsys.readouterr()
+    args = {
+        "inspect": ["--data", str(data)],
+        "train": ["--data", str(data), "--pipeline", "gmm", "--out", str(workdir / "m.rkm")],
+        "evaluate": ["--model", str(model), "--data", str(data)],
+    }[command]
+    assert main([command, *args]) == 4
+    err = capsys.readouterr().err
+    assert "header sample rate" in err
+    assert ("differs from the sidecar" in err) == (rate in (1e-300, 4.0))
+
+
+@pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -2.0])
+def test_bad_header_sample_rate_exits_4_without_a_sidecar(workdir, capsys, rate):
+    data = simulate(workdir)
+    (workdir / "shots.rkd.json").unlink()
+    raw = data.read_bytes()
+    data.write_bytes(raw[:28] + struct.pack("<d", rate) + raw[36:])
+    capsys.readouterr()
+    assert main(["inspect", "--data", str(data)]) == 4
+    assert "is not a finite positive number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("pipeline", ["gmm", "quick"])
 def test_model_with_non_finite_parameter_exits_4(workdir, capsys, pipeline, value):

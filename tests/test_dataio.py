@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -273,6 +274,14 @@ def test_refuses_empty_dataset(tmp_path):
 
     with pytest.raises(DataError):
         save_dataset(Dataset(shots=[]), tmp_path / "e.rkd")
+
+
+def test_save_refuses_config_at_another_sample_rate(tmp_path, quiet_dataset):
+    # the load would refuse the file: its header rate and config disagree
+    config = dataclasses.replace(quiet_dataset.config, sample_rate=4.0)
+    with pytest.raises(DataError, match="config at 4.0"):
+        save_dataset(Dataset(shots=quiet_dataset.shots, config=config), tmp_path / "d.rkd")
+    assert not (tmp_path / "d.rkd").exists()
 
 
 def test_csv_export(tmp_path, quiet_dataset):

@@ -1,10 +1,12 @@
 """The gate-major LSTM against two test-local references.
 
 The per-gate reference is the straightforward form of the recurrence in the
-same gate-major layout as the model: each gate block gets its own
-``sigmoid`` or ``tanh`` and is then stored into the cache.  The fused
-forward must reproduce its logits, every cache array, and every gradient
-exactly, not merely to a tolerance.
+same gate-major layout as the model: each step's gates are one product of
+the stacked ``[Wh; Wx; b]`` block with the operand ``[h_{t-1}; x_t; 1]``
+over the same column blocks, and each gate block then gets its own
+``sigmoid`` or ``tanh`` and is stored into the cache.  The fused forward
+must reproduce its logits, every cache array, and every gradient exactly,
+not merely to a tolerance.
 
 The row-major reference is the layer as it was before the gate-major
 layout: states ``(T, N, h)``, gates ``(T, N, 4h)``, and weight gradients as
@@ -18,36 +20,39 @@ import pytest
 
 from readoutkit.nn.activations import sigmoid
 from readoutkit.nn.loss import weighted_cross_entropy
-from readoutkit.nn.lstm import LstmNetwork
+from readoutkit.nn.lstm import LstmNetwork, batch_blocks
+from readoutkit.nn.optim import Adam
+from readoutkit.nn.serialize import load_model, save_model
 
 
 def _reference_layer_forward(layer, x):
-    T, _, N = x.shape
+    T, D, N = x.shape
     h = layer.hidden_dim
-    zx = np.matmul(layer.Wx.T, x) + layer.b[:, None]
+    ops = np.zeros((T + 1, h + D + 1, N))
+    ops[:T, h : h + D] = x
+    ops[:T, h + D] = 1.0
     gates = np.empty((T, 4 * h, N))
     cs = np.empty((T, h, N))
     tanh_cs = np.empty((T, h, N))
-    hs = np.empty((T, h, N))
-    h_t = np.zeros((h, N))
     c_t = np.zeros((h, N))
-    WhT = np.ascontiguousarray(layer.Wh.T)
+    WT = np.ascontiguousarray(layer.W.T)
     for t in range(T):
-        z = zx[t] + WhT @ h_t
+        z = np.empty((4 * h, N))
+        for s in batch_blocks(N):
+            z[:, s] = WT @ ops[t, :, s]
         zi, zf, zg, zo = z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
         gi, gf, go = sigmoid(zi), sigmoid(zf), sigmoid(zo)
         gg = np.tanh(zg)
         c_t = gf * c_t + gi * gg
         tc = np.tanh(c_t)
-        h_t = go * tc
         gates[t, :h] = gi
         gates[t, h : 2 * h] = gf
         gates[t, 2 * h : 3 * h] = gg
         gates[t, 3 * h :] = go
         cs[t] = c_t
         tanh_cs[t] = tc
-        hs[t] = h_t
-    return hs, (x, gates, cs, tanh_cs, hs)
+        ops[t + 1, :h] = go * tc
+    return ops[1:, :h], (ops, gates, cs, tanh_cs)
 
 
 def _reference_forward(model, x):
@@ -57,7 +62,9 @@ def _reference_forward(model, x):
         seq, cache = _reference_layer_forward(layer, seq)
         caches.append(cache)
     h_final = seq[-1]
-    logits = h_final.T @ model.W_out
+    logits = np.empty((x.shape[1], model.output_dim))
+    for s in batch_blocks(x.shape[1]):
+        logits[s] = h_final[:, s].T @ model.W_out
     if model.b_out is not None:
         logits = logits + model.b_out
     return logits, (caches, h_final, x.shape)
@@ -216,7 +223,8 @@ def test_gate_major_agrees_with_row_major_layout(n, hidden, output):
     for i, layer in enumerate(model.layers):
         dh_seq = rng.normal(size=(50, n, layer.hidden_dim))
         dx, _ = layer.backward(caches[i], np.ascontiguousarray(dh_seq.transpose(0, 2, 1)))
-        layer_in = caches[i][0].transpose(0, 2, 1)
+        h, D = layer.hidden_dim, layer.input_dim
+        layer_in = caches[i][0][:-1, h : h + D].transpose(0, 2, 1)
         _, ref_layer_cache = _row_major_layer_forward(layer, np.ascontiguousarray(layer_in))
         ref_dx, _ = _row_major_layer_backward(layer, ref_layer_cache, dh_seq)
         assert _rel_dev(dx.transpose(0, 2, 1), ref_dx) <= 1e-12
@@ -241,3 +249,26 @@ def test_bottom_layer_skips_only_the_unused_input_gradient():
     assert dx.shape == (30, 2, 9) and skipped is None
     for g, h in zip(grads, same_grads, strict=True):
         assert np.array_equal(g, h)
+
+
+def test_named_parameters_stay_views_of_the_stacked_block(tmp_path):
+    model = _trained_looking_model((16, 8), "softmax", seed=11)
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 2.0, (20, 40, 2))
+    logits, cache = model.forward(x)
+    _, dlogits = weighted_cross_entropy(logits, rng.integers(0, 3, 40), output="softmax")
+    before = [layer.W.copy() for layer in model.layers]
+    Adam(model.param_arrays()).step(model.backward(cache, dlogits), 1e-2)
+    save_model(model, tmp_path / "m.rkm")
+    loaded = load_model(tmp_path / "m.rkm")
+
+    for net in (model, loaded):
+        for layer, old in zip(net.layers, before, strict=True):
+            assert not np.array_equal(layer.W, old)
+            assert np.array_equal(layer.W, np.vstack([layer.Wh, layer.Wx, layer.b]))
+            for p in (layer.Wh, layer.Wx, layer.b):
+                assert np.shares_memory(p, layer.W)
+        rebuilt = LstmNetwork.from_arch(net.arch())
+        for p, q in zip(rebuilt.param_arrays(), net.param_arrays(), strict=True):
+            p[...] = q
+        assert np.array_equal(net.forward(x)[0], rebuilt.forward(x)[0])

@@ -4,9 +4,12 @@ The same training run is repeated in fresh processes with
 ``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS`` set to 1 and to 2, and the saved
 ``.rkm`` files must be byte-equal.  A BLAS library may split a product with a
 long inner dimension differently at each thread count, which rounds
-differently; the weight gradients avoid such products, and this is the test
-that they do.  900 training shots at batch 256 leave a partial last batch of
-132; batch 900 covers one large batch.
+differently, and may split the columns of a product by thread, which can
+change the kernel that computes some of them; every product over the batch
+runs over fixed column blocks, and this is the test that the bytes hold.
+900 training shots at batch 256 leave a partial last batch of 132; batch 900
+covers one large batch.  On 1500 shots, batch 1100 leaves a last batch of
+400 and batch 1500 is one batch of six column blocks.
 """
 
 import hashlib
@@ -24,8 +27,8 @@ import hashlib, sys, tempfile
 from pathlib import Path
 import readoutkit as rk
 
-name, batch_size = sys.argv[1], int(sys.argv[2])
-shots = rk.generate_dataset(rk.SimConfig(seed=7), shots_per_state=300).shots
+name, batch_size, per_state = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+shots = rk.generate_dataset(rk.SimConfig(seed=7), shots_per_state=per_state).shots
 desc = dict(rk.standard_pipelines()[name])
 desc["train"] = {"epochs": 2, "batch_size": batch_size, "learning_rate": 1e-3, "seed": 0}
 fitted = rk.train_pipeline(shots, desc)
@@ -36,22 +39,26 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
-def _trained_digest(name: str, batch_size: int, threads: str) -> str:
+def _trained_digest(name: str, batch_size: int, per_state: int, threads: str) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, name, str(batch_size)],
+        [sys.executable, "-c", _PROBE, name, str(batch_size), str(per_state)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
+        timeout=600,
     )
     return out.stdout.strip()
 
 
-@pytest.mark.parametrize("batch_size", [256, 900])
+@pytest.mark.parametrize(
+    "batch_size, per_state",
+    [pytest.param(b, n, id=str(b)) for b, n in [(256, 300), (900, 300), (1100, 500), (1500, 500)]],
+)
 @pytest.mark.parametrize("name", ["lstm", "bandpass_lstm", "signature_dense"])
-def test_trained_bytes_do_not_depend_on_thread_count(name, batch_size):
-    one, two = (_trained_digest(name, batch_size, threads) for threads in ("1", "2"))
+def test_trained_bytes_do_not_depend_on_thread_count(name, batch_size, per_state):
+    one, two = (_trained_digest(name, batch_size, per_state, t) for t in ("1", "2"))
     assert len(one) == len(hashlib.sha256().hexdigest())
     assert one == two
