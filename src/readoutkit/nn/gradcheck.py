@@ -22,8 +22,11 @@ def gradient_check(
     parameter tensors; each is perturbed by ``+-eps`` and the loss difference
     compared against the backprop gradient.  The relative error uses the
     symmetric normalization |a - n| / max(|a| + |n|, 1e-8).  The default
-    step balances truncation against float64 roundoff in the loss.
+    step balances truncation against float64 roundoff in the loss, so ``X``
+    is cast to float64: the check always runs the float64 path, never
+    central differences of float32 arithmetic.
     """
+    X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(seed)
     params = model.param_arrays()
 

@@ -51,6 +51,22 @@ inner dimension is a single batch, would make the trained bytes depend on
 the thread count.  A fixed block, summed in a fixed order, keeps them equal
 (``tests/test_thread_invariance.py`` checks batches up to six blocks).
 
+Compute dtype and master dtype: the network computes in its input's dtype,
+float32 or float64 (any other input is cast to float64), while the
+parameters stay float64 master arrays, which ``Adam`` steps and ``.rkm``
+files store.  A forward pass casts the halved block, and the readout
+weights, once per call; a backward pass casts ``Wh``, ``Wx`` and the
+readout weights once per call and adds each step's and block's weight
+gradient product, computed in the narrow dtype, into a float64
+accumulator, so the gradients are float64 either way.  Training on float32
+input is mixed-precision training in the sense of Micikevicius et al.
+(ICLR 2018): at 16 hidden units the cost is the per-step ``tanh`` and
+small products, both faster in float32.  The pipelines train their lstm
+models on float32 input; prediction casts its input to float64, so
+predictions, margins and a loaded model's outputs do not depend on how
+the model was trained.  The halving argument above holds in float32 too,
+and float32 results are bit-identical to the per-gate form in float32.
+
 Against the earlier row-major layout (states (T, N, hidden), gates
 (T, N, 4*hidden), ``h_t @ Wh`` plus a separate input projection and bias,
 and flat ``T * N`` gradient products) the results agree to rounding, not
@@ -110,29 +126,31 @@ class _Layer:
         self.b[h : 2 * h] = 1.0
 
     def forward(self, x: np.ndarray):
-        """x is (T, input_dim, N); returns the (T, hidden, N) states and cache."""
+        """x is (T, input_dim, N), float32 or float64; returns the
+        (T, hidden, N) states and cache, computed in x's dtype."""
         T, D, N = x.shape
         h = self.hidden_dim
+        dt = x.dtype
         # one tanh covers all four gate blocks; the module docstring says why
-        # the result is exact
-        scale = np.full(4 * h, 0.5)
+        # the result is exact; the halved weights are cast to x's dtype
+        scale = np.full(4 * h, 0.5, dtype=dt)
         scale[2 * h : 3 * h] = 1.0
-        WT = np.ascontiguousarray((self.W * scale).T)
+        WT = np.ascontiguousarray((self.W * scale).T, dtype=dt)
         # step t's operand [h_{t-1}; x_t; 1] is ops[t]; h_t goes to ops[t + 1]
-        ops = np.empty((T + 1, h + D + 1, N))
+        ops = np.empty((T + 1, h + D + 1, N), dtype=dt)
         ops[0, :h] = 0.0
         ops[:T, h : h + D] = x
         ops[:T, h + D] = 1.0
         ops[T, h:] = 0.0
-        gates = np.empty((T, 4 * h, N))
-        cs = np.empty((T, h, N))
-        tanh_cs = np.empty((T, h, N))
-        ig = np.empty((h, N))
+        gates = np.empty((T, 4 * h, N), dtype=dt)
+        cs = np.empty((T, h, N), dtype=dt)
+        tanh_cs = np.empty((T, h, N), dtype=dt)
+        ig = np.empty((h, N), dtype=dt)
         # the sigmoid finish as full-size operands, one contiguous pass each
-        offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(float)
+        offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(dt)
         scale = np.repeat(scale[:, None], N, axis=1)
         blocks = batch_blocks(N)
-        c_t = np.zeros((h, N))
+        c_t = np.zeros((h, N), dtype=dt)
         for t in range(T):
             g = gates[t]
             for s in blocks:
@@ -148,24 +166,29 @@ class _Layer:
 
     def backward(self, cache, dh_seq: np.ndarray, input_grad: bool = True):
         """``(dx, (dWx, dWh, db))`` for the (T, hidden, N) state gradients
-        ``dh_seq``; ``dx`` is ``None`` unless ``input_grad``."""
+        ``dh_seq``; ``dx`` is ``None`` unless ``input_grad``.  Computes in
+        the cache's dtype; the weight gradients are float64."""
         ops, gates, cs, tanh_cs = cache
         T, _, N = gates.shape
         h = self.hidden_dim
         D = self.input_dim
+        dt = gates.dtype
+        Wh = self.Wh.astype(dt, copy=False)
+        Wx = self.Wx.astype(dt, copy=False)
+        # float64 accumulators of the per-step, per-block products
         dWh = np.zeros((h, 4 * h))
         dWxb = np.zeros((D + 1, 4 * h))
-        dWh_t = np.empty_like(dWh)
-        dWxb_t = np.empty_like(dWxb)
-        dx = np.empty((T, D, N)) if input_grad else None
-        dz = np.empty((4 * h, N))
+        dWh_t = np.empty_like(dWh, dtype=dt)
+        dWxb_t = np.empty_like(dWxb, dtype=dt)
+        dx = np.empty((T, D, N), dtype=dt) if input_grad else None
+        dz = np.empty((4 * h, N), dtype=dt)
         dzi, dzf, dzg, dzo = dz[:h], dz[h : 2 * h], dz[2 * h : 3 * h], dz[3 * h :]
-        dh_rec = np.zeros((h, N))
-        dh = np.empty((h, N))
-        dc = np.zeros((h, N))
-        one_minus = np.empty((4 * h, N))
-        a = np.empty((h, N))
-        zero = np.zeros((h, N))
+        dh_rec = np.zeros((h, N), dtype=dt)
+        dh = np.empty((h, N), dtype=dt)
+        dc = np.zeros((h, N), dtype=dt)
+        one_minus = np.empty((4 * h, N), dtype=dt)
+        a = np.empty((h, N), dtype=dt)
+        zero = np.zeros((h, N), dtype=dt)
         blocks = batch_blocks(N)
         for t in range(T - 1, -1, -1):
             g = gates[t]
@@ -207,12 +230,12 @@ class _Layer:
             op = ops[t]
             for s in blocks:
                 dz_s = dz[:, s]
-                np.matmul(self.Wh, dz_s, out=dh_rec[:, s])
+                np.matmul(Wh, dz_s, out=dh_rec[:, s])
                 if t > 0:
                     dWh += np.matmul(op[:h, s], dz_s.T, out=dWh_t)
                 dWxb += np.matmul(op[h:, s], dz_s.T, out=dWxb_t)
                 if input_grad:
-                    np.matmul(self.Wx, dz_s, out=dx[t, :, s])
+                    np.matmul(Wx, dz_s, out=dx[t, :, s])
         return dx, (dWxb[:D], dWh, dWxb[D])
 
 
@@ -289,8 +312,11 @@ class LstmNetwork(Classifier):
         return sum(p.size for p in self.param_arrays())
 
     def forward(self, x: np.ndarray):
-        """x is (T, N, input_dim); returns ((N, output_dim) logits, cache)."""
-        x = np.asarray(x, dtype=float)
+        """x is (T, N, input_dim); returns ((N, output_dim) logits, cache),
+        computed in float32 for float32 input and in float64 otherwise."""
+        x = np.asarray(x)
+        if x.dtype != np.float32:
+            x = np.asarray(x, dtype=float)
         if x.ndim != 3 or x.shape[2] != self.input_dim:
             raise ConfigurationError(
                 f"expected (T, N, {self.input_dim}) input, got {x.shape}"
@@ -302,22 +328,27 @@ class LstmNetwork(Classifier):
             seq, cache = layer.forward(seq)
             caches.append(cache)
         h_final = seq[-1]
-        logits = np.empty((x.shape[1], self.output_dim))
+        W_out = self.W_out.astype(x.dtype, copy=False)
+        logits = np.empty((x.shape[1], self.output_dim), dtype=x.dtype)
         for s in batch_blocks(x.shape[1]):
-            np.matmul(h_final[:, s].T, self.W_out, out=logits[s])
+            np.matmul(h_final[:, s].T, W_out, out=logits[s])
         if self.b_out is not None:
-            logits = logits + self.b_out
+            logits += self.b_out.astype(x.dtype, copy=False)
         return logits, (caches, h_final, x.shape)
 
     def backward(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
-        """Gradients aligned with :meth:`param_arrays`."""
+        """Gradients aligned with :meth:`param_arrays`, all float64; the
+        products run in the dtype of the forward pass that made ``cache``."""
         caches, h_final, x_shape = cache
         T, N, _ = x_shape
+        dt = h_final.dtype
+        W_out = self.W_out.astype(dt, copy=False)
+        dl = dlogits.astype(dt, copy=False)
         dW_out = np.zeros_like(self.W_out)
-        dh_seq = np.zeros((T, self.hidden[-1], N))
+        dh_seq = np.zeros((T, self.hidden[-1], N), dtype=dt)
         for s in batch_blocks(N):
-            dW_out += h_final[:, s] @ dlogits[s]
-            np.matmul(self.W_out, dlogits[s].T, out=dh_seq[-1, :, s])
+            dW_out += h_final[:, s] @ dl[s]
+            np.matmul(W_out, dl[s].T, out=dh_seq[-1, :, s])
         db_out = dlogits.sum(axis=0) if self.b_out is not None else None
 
         layer_grads = []

@@ -340,13 +340,14 @@ def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
     return pts
 
 
-def _model_inputs(desc: dict, kind: str, arr: np.ndarray):
-    """Map preprocessed output onto the model family's input layout."""
+def _model_inputs(desc: dict, kind: str, arr: np.ndarray, lstm_dtype=np.float64):
+    """Map preprocessed output onto the model family's input layout; an
+    lstm's input is cast to ``lstm_dtype`` in the copy that transposes it."""
     mkind = desc["model"]["kind"]
     if mkind == "gmm":
         return arr
     if mkind == "lstm":
-        return np.ascontiguousarray(arr.transpose(1, 0, 2))
+        return np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=lstm_dtype)
     features = desc["model"]["features"]
     if features["type"] == "signature":
         return batch_signature(arr, features["order"])
@@ -429,7 +430,8 @@ def train_pipeline(
     """Fit the descriptor's model on the given shots.
 
     The gmm model is a closed-form fit; lstm and dense run the mini-batch
-    trainer with the descriptor's optimization block.  The
+    trainer with the descriptor's optimization block, an lstm on float32
+    input against float64 weights (see ``nn.lstm``).  The
     ``gmm_confidence`` weighting fits a reference Gaussian model on plain
     integrated points and weighs each sample by the posterior it assigns to
     the sample's own label.
@@ -444,7 +446,7 @@ def train_pipeline(
         raise DataError("cannot train a pipeline on shots with no samples")
 
     kind, arr, _ = preprocess_batch(shots, desc["stages"])
-    X = _model_inputs(desc, kind, arr)
+    X = _model_inputs(desc, kind, arr, lstm_dtype=np.float32)
 
     if desc["model"]["kind"] == "gmm":
         model = GmmClassifier.fit(X, labels)

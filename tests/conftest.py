@@ -49,14 +49,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def pytest_report_header(config):
-    """State what produced the run's numbers: numpy, its BLAS, and the
-    thread-count variables (a06 trains at the default count); and the size
-    of the package, as newlines in its sources under ``src/``."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    """State what produced the run's numbers: numpy, its BLAS, its SIMD
+    targets (float32 ``tanh`` may take another code path on a CPU with other
+    features), and the thread-count variables (a06 trains at the default
+    count); and the size of the package, as newlines in its sources under
+    ``src/``."""
+    numpy_config = np.show_config(mode="dicts")
+    blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
+    simd = numpy_config.get("SIMD Extensions", {})
     threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}
     src_lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
     return [
         f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}",
+        "SIMD: baseline " + " ".join(simd.get("baseline", ["?"]))
+        + ", found " + (" ".join(simd.get("found", [])) or "none"),
         "threads: " + (" ".join(f"{k}={v}" for k, v in threads.items()) or "no *_NUM_THREADS set"),
         f"src/ lines: {src_lines}",
     ]

@@ -6,7 +6,11 @@ the stacked ``[Wh; Wx; b]`` block with the operand ``[h_{t-1}; x_t; 1]``
 over the same column blocks, and each gate block then gets its own
 ``sigmoid`` or ``tanh`` and is stored into the cache.  The fused forward
 must reproduce its logits, every cache array, and every gradient exactly,
-not merely to a tolerance.
+not merely to a tolerance, in float64 and in float32.
+
+Float32 and float64 input on the same weights must agree to a stated
+bound, and a float32 training step must keep float32 caches and float64
+gradients and parameters.
 
 The row-major reference is the layer as it was before the gate-major
 layout: states ``(T, N, h)``, gates ``(T, N, 4h)``, and weight gradients as
@@ -25,23 +29,36 @@ from readoutkit.nn.optim import Adam
 from readoutkit.nn.serialize import load_model, save_model
 
 
+def _sigmoid(z):
+    """``activations.sigmoid``'s formula in z's own dtype (the library
+    function computes in float64)."""
+    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+
+
+def test_local_sigmoid_is_the_library_sigmoid_in_float64():
+    z = np.random.default_rng(0).normal(0.0, 4.0, 1000)
+    assert np.array_equal(_sigmoid(z), sigmoid(z))
+    assert _sigmoid(z.astype(np.float32)).dtype == np.float32
+
+
 def _reference_layer_forward(layer, x):
     T, D, N = x.shape
     h = layer.hidden_dim
-    ops = np.zeros((T + 1, h + D + 1, N))
+    dt = x.dtype
+    ops = np.zeros((T + 1, h + D + 1, N), dtype=dt)
     ops[:T, h : h + D] = x
     ops[:T, h + D] = 1.0
-    gates = np.empty((T, 4 * h, N))
-    cs = np.empty((T, h, N))
-    tanh_cs = np.empty((T, h, N))
-    c_t = np.zeros((h, N))
-    WT = np.ascontiguousarray(layer.W.T)
+    gates = np.empty((T, 4 * h, N), dtype=dt)
+    cs = np.empty((T, h, N), dtype=dt)
+    tanh_cs = np.empty((T, h, N), dtype=dt)
+    c_t = np.zeros((h, N), dtype=dt)
+    WT = np.ascontiguousarray(layer.W.T, dtype=dt)
     for t in range(T):
-        z = np.empty((4 * h, N))
+        z = np.empty((4 * h, N), dtype=dt)
         for s in batch_blocks(N):
             z[:, s] = WT @ ops[t, :, s]
         zi, zf, zg, zo = z[:h], z[h : 2 * h], z[2 * h : 3 * h], z[3 * h :]
-        gi, gf, go = sigmoid(zi), sigmoid(zf), sigmoid(zo)
+        gi, gf, go = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo)
         gg = np.tanh(zg)
         c_t = gf * c_t + gi * gg
         tc = np.tanh(c_t)
@@ -62,11 +79,11 @@ def _reference_forward(model, x):
         seq, cache = _reference_layer_forward(layer, seq)
         caches.append(cache)
     h_final = seq[-1]
-    logits = np.empty((x.shape[1], model.output_dim))
+    logits = np.empty((x.shape[1], model.output_dim), dtype=x.dtype)
     for s in batch_blocks(x.shape[1]):
-        logits[s] = h_final[:, s].T @ model.W_out
+        logits[s] = h_final[:, s].T @ model.W_out.astype(x.dtype)
     if model.b_out is not None:
-        logits = logits + model.b_out
+        logits = logits + model.b_out.astype(x.dtype)
     return logits, (caches, h_final, x.shape)
 
 
@@ -165,17 +182,15 @@ def _trained_looking_model(hidden, output, seed):
     return model
 
 
-@pytest.mark.parametrize("n", [1, 7, 132, 256, 900])
-@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
-@pytest.mark.parametrize("output", ["softmax", "sigmoid"])
-def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
+def _assert_fused_matches_per_gate(n, hidden, output, dtype):
     model = _trained_looking_model(hidden, output, seed=n)
     rng = np.random.default_rng(n)
-    x = rng.normal(0.0, 2.0, (50, n, 2))
+    x = rng.normal(0.0, 2.0, (50, n, 2)).astype(dtype)
     labels = rng.integers(0, 3, n)
 
     logits, cache = model.forward(x)
     ref_logits, ref_cache = _reference_forward(model, x)
+    assert logits.dtype == ref_logits.dtype == dtype
     assert np.array_equal(logits, ref_logits)
 
     caches, h_final, shape = cache
@@ -186,6 +201,7 @@ def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
     for layer_cache, ref_layer_cache in zip(caches, ref_caches):
         for arr, ref_arr in zip(layer_cache, ref_layer_cache, strict=True):
             assert arr.shape == ref_arr.shape
+            assert arr.dtype == ref_arr.dtype == dtype
             assert np.array_equal(arr, ref_arr)
 
     _, dlogits = weighted_cross_entropy(logits, labels, np.ones(n), output=output)
@@ -194,6 +210,66 @@ def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
     assert len(grads) == len(model.param_arrays())
     for g, ref_g in zip(grads, ref_grads, strict=True):
         assert np.array_equal(g, ref_g)
+
+
+@pytest.mark.parametrize("n", [1, 7, 132, 256, 900])
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("output", ["softmax", "sigmoid"])
+def test_fused_forward_and_gradients_are_bit_identical(n, hidden, output):
+    _assert_fused_matches_per_gate(n, hidden, output, np.float64)
+
+
+@pytest.mark.parametrize("n", [1, 7, 132, 256, 900])
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("output", ["softmax", "sigmoid"])
+def test_fused_forward_and_gradients_are_bit_identical_in_float32(n, hidden, output):
+    # halving by a power of two is exact in float32 too
+    _assert_fused_matches_per_gate(n, hidden, output, np.float32)
+
+
+# worst deviation of a float32 forward and backward from float64 on the
+# same weights and input, as a fraction of the float64 tensor's norm,
+# measured at 7.3e-7 (about 6 float32 epsilons) over the cases below
+FLOAT32_AGREEMENT = 2e-6
+
+
+@pytest.mark.parametrize("n", [1, 7, 132, 256, 900])
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("output", ["softmax", "sigmoid"])
+def test_float32_agrees_with_float64_on_the_same_weights(n, hidden, output):
+    model = _trained_looking_model(hidden, output, seed=n)
+    rng = np.random.default_rng(n)
+    # float32 values, so the two runs differ only in their arithmetic
+    x = rng.normal(0.0, 2.0, (50, n, 2)).astype(np.float32)
+    labels = rng.integers(0, 3, n)
+    results = []
+    for xx in (x, x.astype(np.float64)):
+        logits, cache = model.forward(xx)
+        _, dlogits = weighted_cross_entropy(logits, labels, output=output)
+        results.append([logits] + model.backward(cache, dlogits))
+    for a, ref in zip(*results, strict=True):
+        assert a.shape == ref.shape
+        assert np.linalg.norm(a - ref) <= FLOAT32_AGREEMENT * np.linalg.norm(ref)
+
+
+def test_float32_training_step_keeps_float64_gradients_and_parameters():
+    model = _trained_looking_model((16, 8), "softmax", seed=2)
+    rng = np.random.default_rng(2)
+    x = rng.normal(0.0, 2.0, (20, 300, 2)).astype(np.float32)
+    logits, cache = model.forward(x)
+    assert logits.dtype == np.float32
+    caches, h_final, _ = cache
+    for arr in [h_final] + [a for layer_cache in caches for a in layer_cache]:
+        assert arr.dtype == np.float32
+    _, dlogits = weighted_cross_entropy(logits, rng.integers(0, 3, 300), output="softmax")
+    grads = model.backward(cache, dlogits)
+    Adam(model.param_arrays()).step(grads, 1e-2)
+    assert all(g.dtype == np.float64 for g in grads)
+    assert all(p.dtype == np.float64 for p in model.param_arrays())
+    assert all(layer.W.dtype == np.float64 for layer in model.layers)
+    # prediction casts to float64 whatever the input's dtype
+    assert np.array_equal(model.predict_logits(x), model.predict_logits(x.astype(np.float64)))
+    assert model.predict_logits(x).dtype == np.float64
 
 
 def _rel_dev(a, ref):

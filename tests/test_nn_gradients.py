@@ -83,6 +83,17 @@ def test_full_reference_sequence_model_grads(rng):
     assert err < TOL
 
 
+def test_gradcheck_runs_float32_input_on_the_float64_path(rng):
+    # central differences of float32 arithmetic are rounding noise at this
+    # step size, so the check casts X to float64 first
+    model = LstmNetwork(2, (16,), 3, seed=5)
+    X = rng.normal(size=(20, 6, 2)).astype(np.float32)
+    labels = rng.integers(0, 3, 6)
+    err32 = gradient_check(model, X, labels, n_checks=60, seed=2)
+    err64 = gradient_check(model, X.astype(np.float64), labels, n_checks=60, seed=2)
+    assert err32 == err64 < TOL
+
+
 def test_feature_model_grads_with_weights(rng):
     model = DenseNetwork(63, (32, 16, 8), 3, seed=5)
     X = rng.normal(size=(8, 63))
