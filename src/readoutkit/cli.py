@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, pipeline as pl
@@ -51,8 +52,7 @@ def _load_sim_config(args) -> SimConfig:
     else:
         cfg = SimConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = SimConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-    cfg.validate()
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 

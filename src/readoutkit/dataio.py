@@ -144,7 +144,6 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
         if "config" in meta:
             try:
                 config = SimConfig.from_dict(meta["config"])
-                config.validate()
             except ConfigurationError as e:
                 raise FileFormatError(f"dataset sidecar {sc} has a bad config: {e}") from e
             if config.sample_rate != rate:

@@ -1,17 +1,31 @@
-"""Exception types, and the check for a finite number, shared across the toolkit.
+"""Exception types, and the checker every mapping the toolkit reads is held
+to (one table of :class:`Field` entries per mapping, beside its owner).
 
 The CLI maps these onto exit statuses: configuration/validation problems
 exit 2, numerical failures exit 3, I/O problems exit 4.
 """
 
+import copy
 import sys
-from numbers import Real
+from collections.abc import Mapping
+from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 
 def is_finite_number(value) -> bool:
     """A real number that is finite as a float; bools are not numbers."""
     finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
     return finite and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """An integer; bools are not integers."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_size(value) -> bool:
+    """An integer >= 1, such as a width, a count or a length."""
+    return is_integer(value) and value >= 1
 
 
 class ReadoutKitError(Exception):
@@ -40,3 +54,53 @@ class NumericalError(ReadoutKitError, RuntimeError):
     def __init__(self, message: str, batch_index: int | None = None):
         super().__init__(message)
         self.batch_index = batch_index
+
+
+REQUIRED = object()  # a field that must be given
+ABSENT = object()  # a field that stays missing when not given
+
+
+class Field(NamedTuple):
+    """One entry of a field table: ``test(value)`` holds for a valid value,
+    ``rule`` says in words what it demands, and ``default`` fills the field
+    in when it is missing (unless it is ``REQUIRED`` or ``ABSENT``)."""
+
+    test: Callable[[object], bool]
+    rule: str
+    default: object = ABSENT
+
+
+# entries that several tables share
+SIZE = Field(is_size, "an integer >= 1")
+POSITIVE = Field(lambda v: is_finite_number(v) and v > 0, "a finite number > 0")
+NON_NEGATIVE = Field(lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0")
+SEED = Field(lambda v: is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)")
+
+
+def check(mapping, table: dict, what: str, tag: str | None = None) -> dict:
+    """``mapping`` as a new dict with the table's defaults filled in, or
+    ``ConfigurationError`` unless it holds only the table's fields, every
+    required one among them, each passing its test.  With a ``tag``,
+    ``table`` maps each allowed value of ``mapping[tag]`` to its table."""
+    if not isinstance(mapping, Mapping):
+        raise ConfigurationError(f"{what} must be a mapping, not {type(mapping).__name__}")
+    if tag is not None:
+        name = mapping.get(tag)
+        if name not in tuple(table):
+            raise ConfigurationError(f"{what} {tag} must be one of {tuple(table)}, not {name!r}")
+        table = {tag: Field(lambda v: True, "the tag"), **table[name]}
+        what = f"{what} ({name})"
+    unknown = sorted(map(str, mapping.keys() - table.keys()))
+    if unknown:
+        raise ConfigurationError(f"{what} has unknown fields {unknown}; it takes {list(table)}")
+    d = dict(mapping)
+    for key, field in table.items():
+        if key not in d:
+            if field.default is REQUIRED:
+                raise ConfigurationError(f"{what} needs {key!r}, {field.rule}")
+            if field.default is ABSENT:
+                continue
+            d[key] = copy.deepcopy(field.default)
+        if not field.test(d[key]):
+            raise ConfigurationError(f"{what} field {key!r} must be {field.rule}, not {d[key]!r}")
+    return d

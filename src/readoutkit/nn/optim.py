@@ -2,21 +2,30 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from ..errors import ConfigurationError, is_finite_number
+from ..errors import POSITIVE, SEED, SIZE, ConfigurationError, Field, check, is_finite_number
 
 # Adam's moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# the fields of a TrainConfig (the dataclass holds the defaults)
+TRAIN_FIELDS = {
+    "epochs": SIZE,
+    "batch_size": SIZE,
+    "learning_rate": POSITIVE,
+    "decay_gamma": Field(lambda v: is_finite_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "decay_every": SIZE,
+    "shuffle": Field(lambda v: isinstance(v, bool), "true or false"),
+    "seed": SEED,
+}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings shared by the sequence and dense trainers."""
+    """Optimization settings shared by the sequence and dense trainers,
+    checked when they are built (``ConfigurationError``)."""
 
     epochs: int = 100
     batch_size: int = 256
@@ -26,36 +35,14 @@ class TrainConfig:
     shuffle: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if not 0 < self.decay_gamma <= 1:
-            raise ConfigurationError("decay_gamma must lie in (0, 1]")
-        if self.decay_every < 1:
-            raise ConfigurationError("decay_every must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
+    def __post_init__(self):
+        check(vars(self), TRAIN_FIELDS, "train")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Settings from a mapping of (some of) the fields, defaults for the
-        rest.  Types are checked here and ranges in :meth:`validate`; an
-        unknown field or a value of the wrong type raises
-        ``ConfigurationError``."""
-        if not isinstance(d, Mapping) or not d.keys() <= cls.__dataclass_fields__.keys():
-            raise ConfigurationError(f"train block is not a mapping of TrainConfig fields: {d!r}")
-        for key, v in d.items():
-            if key == "shuffle":
-                ok = isinstance(v, bool)
-            elif key in ("learning_rate", "decay_gamma"):
-                ok = is_finite_number(v)
-            else:
-                ok = isinstance(v, Integral) and not isinstance(v, bool)
-            if not ok:
-                raise ConfigurationError(f"train field {key!r} has a bad type or value: {v!r}")
-        return cls(**d)
+        rest."""
+        return cls(**check(d, TRAIN_FIELDS, "train"))
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from ..dataio import canonical_json, sidecar_path
-from ..errors import DataError, FileFormatError
+from ..errors import REQUIRED, SIZE, ConfigurationError, DataError, Field, FileFormatError
+from ..errors import check, is_size
 from ..gmm import GmmClassifier
 from .dense import DenseNetwork, dense_param_count
 from .loss import OUTPUTS
@@ -31,6 +32,26 @@ from .lstm import LstmNetwork, lstm_param_count
 MODEL_MAGIC = b"RKIT-MODEL\x00\x00"
 MODEL_VERSION = 1
 _HEAD = struct.Struct("<12sII")
+
+# the fields of an architecture block, by model kind; a pipeline
+# descriptor's model table takes its hidden, output and output_bias entries
+# from here, with defaults for hidden
+_DIM = SIZE._replace(default=REQUIRED)
+HIDDEN = Field(
+    lambda v: isinstance(v, list) and all(map(is_size, v)),
+    "a list of integer widths >= 1",
+    REQUIRED,
+)
+LSTM_HIDDEN = Field(
+    lambda v: HIDDEN.test(v) and len(v) > 0, "a non-empty list of integer widths >= 1", REQUIRED
+)
+OUTPUT = Field(lambda v: v in OUTPUTS, f"one of {OUTPUTS}", "softmax")
+OUTPUT_BIAS = Field(lambda v: isinstance(v, bool), "true or false", False)
+ARCH_FIELDS = {
+    "gmm": {"n_classes": _DIM, "dim": _DIM},
+    "dense": {"input_dim": _DIM, "hidden": HIDDEN, "output_dim": _DIM, "output": OUTPUT},
+}
+ARCH_FIELDS["lstm"] = {**ARCH_FIELDS["dense"], "hidden": LSTM_HIDDEN, "output_bias": OUTPUT_BIAS}
 
 
 def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
@@ -52,27 +73,19 @@ def save_model(model, path: str | Path, extra_meta: dict | None = None) -> None:
 
 
 def _declared_count(arch, path: Path) -> int:
-    """Parameter count an architecture block declares, checked before any
-    model is built; ``FileFormatError`` unless the block is an object that
-    describes a model of a known kind with positive integer sizes, at least
-    one recurrent layer for an lstm, and a known output for a network."""
-    kind = arch.get("kind") if isinstance(arch, dict) else None
-    if kind not in ("gmm", "lstm", "dense"):
-        raise FileFormatError(f"architecture block in {path} names no known model kind")
-    keys = ("n_classes", "dim") if kind == "gmm" else ("input_dim", "output_dim")
-    hidden = [] if kind == "gmm" else arch.get("hidden")
-    sizes = [arch.get(k) for k in keys] + (hidden if isinstance(hidden, list) else [None])
-    valid = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes)
-    if kind != "gmm":
-        valid = valid and arch.get("output", "softmax") in OUTPUTS
-    if not valid or (kind == "lstm" and not hidden):
-        raise FileFormatError(f"invalid {kind} architecture in {path}: {canonical_json(arch)}")
-    if kind == "gmm":
-        nc, dim = sizes
+    """Parameter count an architecture block declares, checked against its
+    kind's table before any model is built (``FileFormatError``)."""
+    try:
+        arch = check(arch, ARCH_FIELDS, "architecture block", tag="kind")
+    except ConfigurationError as e:
+        raise FileFormatError(f"invalid architecture in {path}: {e}") from e
+    if arch["kind"] == "gmm":
+        nc, dim = arch["n_classes"], arch["dim"]
         return nc * (dim + dim * dim + 1)
-    if kind == "dense":
-        return dense_param_count(sizes[0], hidden, sizes[1])
-    return lstm_param_count(sizes[0], hidden, sizes[1], arch.get("output_bias", False))
+    sizes = arch["input_dim"], arch["hidden"], arch["output_dim"]
+    if arch["kind"] == "dense":
+        return dense_param_count(*sizes)
+    return lstm_param_count(*sizes, arch["output_bias"])
 
 
 def load_model(path: str | Path):

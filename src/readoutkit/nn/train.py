@@ -25,7 +25,6 @@ def train(
     epoch.  A non-finite batch loss aborts training with the offending
     global batch index attached.
     """
-    config.validate()
     labels = np.asarray(labels, dtype=int)
     n = labels.shape[0]
     if X.shape[model.batch_axis] != n:

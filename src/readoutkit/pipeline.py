@@ -41,6 +41,7 @@ import copy
 import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,40 +49,61 @@ import numpy as np
 
 from . import dsp
 from .dataio import read_sidecar, sidecar_path
-from .errors import (
-    ConfigurationError,
-    DataError,
-    FileFormatError,
-    IncompatibilityError,
-    is_finite_number,
-)
+from .errors import NON_NEGATIVE, REQUIRED, SIZE, ConfigurationError, DataError, Field
+from .errors import FileFormatError, IncompatibilityError, check, is_finite_number, is_size
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
-from .nn.loss import OUTPUTS
 from .nn.lstm import LstmNetwork
 from .nn.optim import TrainConfig
-from .nn.serialize import load_model, save_model
+from .nn.serialize import HIDDEN, LSTM_HIDDEN, OUTPUT, OUTPUT_BIAS, load_model, save_model
 from .nn.train import train
 from .pathsig import batch_signature, path_transform
 from .sim import Dataset, RawShot, shot_format
 
-# the fields a descriptor mapping may hold, by stage op, model kind,
-# weighting kind and dense feature type; a name is looked up in the tuple of
-# the keys, since a descriptor value need not be hashable
+_MAPPING = Field(lambda v: isinstance(v, Mapping), "a mapping")  # checked by its own table
+_FINITE = Field(is_finite_number, "a finite number", REQUIRED)
+# the fields of each descriptor mapping: the top level, each stage by op,
+# the model by kind, a dense model's features by type, the weighting by kind
+DESCRIPTOR_FIELDS = {
+    "name": Field(lambda v: isinstance(v, str), "a string", "pipeline"),
+    "stages": Field(lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list", REQUIRED),
+    "model": _MAPPING._replace(default=REQUIRED),
+    "weighting": _MAPPING._replace(default={"kind": "uniform"}),
+    "train": _MAPPING,
+}
 STAGE_FIELDS = {
-    "bandpass": ("op", "center", "half_width"),
-    "demodulate": ("op", "frequency"),
-    "bin": ("op", "size"),
-    "path_transform": ("op", "weights"),
-    "integrate": ("op",),
+    "bandpass": {"center": _FINITE, "half_width": NON_NEGATIVE._replace(default=REQUIRED)},
+    "demodulate": {"frequency": _FINITE},
+    "bin": {"size": SIZE._replace(default=REQUIRED)},
+    "path_transform": {
+        "weights": Field(
+            lambda v: v is None or isinstance(v, list) and all(map(is_finite_number, v)),
+            "null or a list of finite numbers",
+            None,
+        )
+    },
+    "integrate": {},
 }
 MODEL_FIELDS = {
-    "gmm": ("kind",),
-    "lstm": ("kind", "hidden", "output", "output_bias"),
-    "dense": ("kind", "hidden", "output", "features"),
+    "gmm": {},
+    "lstm": {
+        "hidden": LSTM_HIDDEN._replace(default=[16]),
+        "output": OUTPUT,
+        "output_bias": OUTPUT_BIAS,
+    },
+    "dense": {
+        "hidden": HIDDEN._replace(default=[32, 16, 8]),
+        "output": OUTPUT,
+        "features": _MAPPING._replace(default={"type": "signature", "order": 5}),
+    },
 }
-WEIGHTING_FIELDS = {"uniform": ("kind",), "gmm_confidence": ("kind", "floor")}
-FEATURE_FIELDS = {"signature": ("type", "order"), "flat": ("type",)}
+FEATURE_FIELDS = {"signature": {"order": SIZE._replace(default=5)}, "flat": {}}
+WEIGHTING_FIELDS = {
+    "uniform": {},
+    "gmm_confidence": {
+        "floor": Field(lambda v: is_finite_number(v) and 0 <= v <= 1, "a number in [0, 1]", 0.0)
+    },
+}
 CHUNK = 512
 # the bin-domain front end: at most this many multiply-adds per raw sample
 # (it costs as much as the per-sample chain at about 10 on 2000-sample
@@ -91,124 +113,42 @@ FOLD_MAX_TERMS = 8
 SUM_BLOCK = 1 << 16
 
 
-def _is_size(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _known_fields(mapping: dict, fields: tuple, what: str) -> None:
-    unknown = sorted(map(str, mapping.keys() - set(fields)))
-    if unknown:
-        raise ConfigurationError(f"{what} has unknown fields {unknown}; it takes {list(fields)}")
-
-
 def normalize_descriptor(desc: dict) -> dict:
     """Fill defaults and validate; returns a deep copy safe to serialize.
 
-    Every field is checked for type and range, and every mapping may hold
-    only its documented fields, so a bad descriptor raises
-    ``ConfigurationError``.  Checks that need the trace length (a ``bin``
-    longer than the trajectory, ``path_transform`` weights of the wrong
-    length) run when the stages meet the data.
+    Each mapping is held to its table above, and the stage list to the
+    stage rules, so a bad descriptor raises ``ConfigurationError``.  Checks
+    that need the trace length (a ``bin`` longer than the trajectory,
+    ``path_transform`` weights of the wrong length) run when the stages
+    meet the data.
     """
-    if not isinstance(desc, dict):
-        raise ConfigurationError("pipeline descriptor must be a mapping")
-    d = copy.deepcopy(desc)
-    _known_fields(d, ("name", "stages", "model", "weighting", "train"), "descriptor")
-    if not isinstance(d.setdefault("name", "pipeline"), str):
-        raise ConfigurationError("pipeline name must be a string")
-    stages = d.get("stages")
-    if not isinstance(stages, list) or not stages:
-        raise ConfigurationError("descriptor needs a non-empty 'stages' list")
-    model = d.get("model")
-    if not isinstance(model, dict) or model.get("kind") not in tuple(MODEL_FIELDS):
-        raise ConfigurationError(f"model kind must be one of {tuple(MODEL_FIELDS)}")
-    _known_fields(model, MODEL_FIELDS[model["kind"]], f"{model['kind']} model")
-    weighting = d.setdefault("weighting", {"kind": "uniform"})
-    if not isinstance(weighting, dict) or weighting.get("kind") not in tuple(WEIGHTING_FIELDS):
-        raise ConfigurationError(f"weighting kind must be one of {tuple(WEIGHTING_FIELDS)}")
-    _known_fields(weighting, WEIGHTING_FIELDS[weighting["kind"]], "weighting")
-    if weighting["kind"] == "gmm_confidence":
-        floor = weighting.setdefault("floor", 0.0)
-        if not (is_finite_number(floor) and 0 <= floor <= 1):
-            raise ConfigurationError("weighting floor must be a number in [0, 1]")
+    d = check(copy.deepcopy(desc), DESCRIPTOR_FIELDS, "descriptor")
+    stages = [check(st, STAGE_FIELDS, f"stage {k}", tag="op") for k, st in enumerate(d["stages"])]
+    d["stages"] = stages
+    model = d["model"] = check(d["model"], MODEL_FIELDS, "model", tag="kind")
+    if model["kind"] == "dense":
+        model["features"] = check(model["features"], FEATURE_FIELDS, "dense features", tag="type")
+    d["weighting"] = check(d["weighting"], WEIGHTING_FIELDS, "weighting", tag="kind")
 
-    demod_seen = 0
-    for k, st in enumerate(stages):
-        if not isinstance(st, dict):
-            raise ConfigurationError(f"stage {k} must be a mapping, not {type(st).__name__}")
-        op = st.get("op")
-        if op not in tuple(STAGE_FIELDS):
-            raise ConfigurationError(f"unknown stage op {op!r}")
-        _known_fields(st, STAGE_FIELDS[op], f"stage {k} ({op})")
-        if op == "bandpass":
-            if demod_seen:
-                raise ConfigurationError("bandpass must come before demodulate")
-            if "center" not in st or "half_width" not in st:
-                raise ConfigurationError("bandpass needs 'center' and 'half_width'")
-            for key in ("center", "half_width"):
-                if not is_finite_number(st[key]):
-                    raise ConfigurationError(f"stage {k}: bandpass {key} must be a finite number")
-            if st["half_width"] < 0:
-                raise ConfigurationError(f"stage {k}: bandpass half_width must be >= 0")
-        elif op == "demodulate":
-            demod_seen += 1
-            if "frequency" not in st:
-                raise ConfigurationError("demodulate needs 'frequency'")
-            if not is_finite_number(st["frequency"]):
-                raise ConfigurationError(f"stage {k}: demodulate frequency must be a finite number")
-        elif op == "bin":
-            if not demod_seen:
-                raise ConfigurationError("bin must come after demodulate")
-            if not _is_size(st.get("size")):
-                raise ConfigurationError("bin needs an integer 'size' >= 1")
-        elif op == "path_transform":
-            if not demod_seen:
-                raise ConfigurationError("path_transform must come after demodulate")
-            w = st.setdefault("weights", None)
-            if w is not None and not (isinstance(w, list) and all(map(is_finite_number, w))):
-                raise ConfigurationError(
-                    f"stage {k}: path_transform weights must be null or a list of finite numbers"
-                )
-        elif op == "integrate":
-            if not demod_seen:
-                raise ConfigurationError("integrate must come after demodulate")
-            if k != len(stages) - 1:
-                raise ConfigurationError("integrate must be the final stage")
-    if demod_seen != 1:
+    ops = [st["op"] for st in stages]
+    if ops.count("demodulate") != 1:
         raise ConfigurationError("stages must contain exactly one demodulate")
-
-    has_integrate = stages[-1]["op"] == "integrate"
-    kind = model["kind"]
-    if kind == "gmm":
-        if not has_integrate:
-            raise ConfigurationError("the gmm model consumes integrated points")
-        if weighting["kind"] != "uniform":
-            raise ConfigurationError("sample weighting applies to trainable models only")
-    else:
-        if has_integrate:
-            raise ConfigurationError("integrate feeds only the gmm model")
-        model.setdefault("output", "softmax")
-        if model["output"] not in OUTPUTS:
-            raise ConfigurationError(f"model output must be one of {OUTPUTS}")
-        if kind == "lstm":
-            hidden = model.setdefault("hidden", [16])
-            if not isinstance(model.setdefault("output_bias", False), bool):
-                raise ConfigurationError("lstm output_bias must be true or false")
-        else:
-            hidden = model.setdefault("hidden", [32, 16, 8])
-            features = model.setdefault("features", {"type": "signature", "order": 5})
-            if not isinstance(features, dict) or features.get("type") not in tuple(FEATURE_FIELDS):
-                raise ConfigurationError("dense features must be 'signature' or 'flat'")
-            _known_fields(features, FEATURE_FIELDS[features["type"]], "dense features")
-            if features["type"] == "signature":
-                if not _is_size(features.setdefault("order", 5)):
-                    raise ConfigurationError("signature order must be an integer >= 1")
-        widths = isinstance(hidden, list) and all(map(_is_size, hidden))
-        if not widths or (kind == "lstm" and not hidden):
-            raise ConfigurationError(f"{kind} hidden must be a list of integer widths >= 1")
+    demod = ops.index("demodulate")
+    if "bandpass" in ops[demod:]:
+        raise ConfigurationError("bandpass must come before demodulate")
+    early = [op for op in ops[:demod] if op != "bandpass"]
+    if early:
+        raise ConfigurationError(f"{early[0]} must come after demodulate")
+    if "integrate" in ops[:-1]:
+        raise ConfigurationError("integrate must be the final stage")
+    if (ops[-1] == "integrate") != (model["kind"] == "gmm"):
+        raise ConfigurationError("the gmm model takes a final integrate stage, and no other does")
+    if model["kind"] == "gmm" and d["weighting"]["kind"] != "uniform":
+        raise ConfigurationError("sample weighting applies to trainable models only")
+    if model["kind"] != "gmm":
         d.setdefault("train", {})
     if "train" in d:
-        TrainConfig.from_dict(d["train"]).validate()
+        TrainConfig.from_dict(d["train"])
     return d
 
 
@@ -415,10 +355,11 @@ class TrainedPipeline:
                 f"{sidecar} describes a model other than the one in {path}: "
                 f"{desc['model']} against {arch}"
             )
-        try:
-            input_length = int(meta["input_length"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise FileFormatError(f"{sidecar} has no valid input_length") from e
+        input_length = meta.get("input_length")
+        if not is_size(input_length):
+            raise FileFormatError(
+                f"{sidecar} has no valid input_length (an integer >= 1): {input_length!r}"
+            )
         return cls(descriptor=desc, model=model, input_length=input_length)
 
 

@@ -22,15 +22,42 @@ shots_per_state)`` always yields the same bytes and the same paths.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, is_finite_number
+from .errors import NON_NEGATIVE, POSITIVE, SEED, ConfigurationError, DataError, Field, check
+from .errors import is_finite_number
 
 STATES = (0, 1, 2)
+
+
+def _sequence(v, n: int, test) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == n and all(map(test, v))
+
+
+# the fields of a SimConfig; the dataclass holds the defaults, and
+# __post_init__ checks the rules across fields: a finite sample count of at
+# least one, and f_if below Nyquist
+SIM_FIELDS = {
+    "duration": POSITIVE,
+    "sample_rate": POSITIVE,
+    "t1": Field(
+        lambda v: _sequence(v, 2, lambda t: t is None or POSITIVE.test(t)),
+        "a pair [t1 of state 1, t1 of state 2], each a finite number > 0 or null",
+    ),
+    "gamma_up": NON_NEGATIVE,
+    "state_envelopes": Field(
+        lambda v: _sequence(v, 3, lambda e: _sequence(e, 2, is_finite_number)),
+        "three [amplitude, phase] pairs of finite numbers, for states 0, 1 and 2",
+    ),
+    "f_if": NON_NEGATIVE,
+    "ring_time": NON_NEGATIVE,
+    "noise_sigma": NON_NEGATIVE,
+    "phase_noise_sigma": NON_NEGATIVE,
+    "herald_error": Field(lambda v: is_finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "seed": SEED,
+}
 
 # In-memory dataset size guard for generate_dataset (float32 samples).
 MAX_DATASET_BYTES = 4 << 30
@@ -69,6 +96,8 @@ class SimConfig:
     explicit sentinel so serialization stays exact).  ``noise_sigma`` and
     ``t1`` defaults are calibrated so the integration-based Gaussian baseline
     lands in the mid-0.9 fidelity band on the stock benchmark dataset.
+    A config is checked when it is built (``ConfigurationError``), so every
+    ``SimConfig`` is valid.
     """
 
     duration: float = 1000.0
@@ -95,9 +124,10 @@ class SimConfig:
     def dt(self) -> float:
         return 1.0 / self.sample_rate
 
-    def validate(self) -> None:
-        if self.duration <= 0 or self.sample_rate <= 0:
-            raise ConfigurationError("duration and sample_rate must be positive")
+    def __post_init__(self):
+        check(vars(self), SIM_FIELDS, "config")
+        object.__setattr__(self, "t1", tuple(self.t1))
+        object.__setattr__(self, "state_envelopes", tuple(map(tuple, self.state_envelopes)))
         if not math.isfinite(self.duration * self.sample_rate) or self.n_samples < 1:
             raise ConfigurationError(
                 f"duration * sample_rate must give at least one sample and be finite, "
@@ -108,23 +138,6 @@ class SimConfig:
                 f"f_if={self.f_if} must lie strictly below Nyquist "
                 f"({self.sample_rate / 2})"
             )
-        if len(self.t1) != 2:
-            raise ConfigurationError("t1 must hold entries for states 1 and 2")
-        for t1 in self.t1:
-            if t1 is not None and t1 <= 0:
-                raise ConfigurationError("t1 entries must be positive or None")
-        if self.gamma_up < 0:
-            raise ConfigurationError("gamma_up must be >= 0")
-        if len(self.state_envelopes) != 3:
-            raise ConfigurationError("state_envelopes must cover states 0, 1, 2")
-        if self.noise_sigma < 0 or self.phase_noise_sigma < 0:
-            raise ConfigurationError("noise sigmas must be >= 0")
-        if not 0 <= self.herald_error < 1:
-            raise ConfigurationError("herald_error must lie in [0, 1)")
-        if self.ring_time < 0:
-            raise ConfigurationError("ring_time must be >= 0")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
 
     def to_dict(self) -> dict:
         """Every field, as plain JSON values (lists for the tuple fields)."""
@@ -135,33 +148,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """Config from its :meth:`to_dict` form, such as parsed JSON.  Types
-        are checked here and ranges in :meth:`validate`; an unknown field or
-        a value of the wrong type raises ``ConfigurationError``."""
-        if not isinstance(d, Mapping) or not d.keys() <= cls.__dataclass_fields__.keys():
-            raise ConfigurationError(f"config is not a mapping of SimConfig fields: {d!r}")
-        d = dict(d)
-        for key, v in d.items():
-            if key == "seed":
-                ok = isinstance(v, Integral) and not isinstance(v, bool)
-            elif key == "t1":
-                ok = isinstance(v, (list, tuple)) and all(
-                    t is None or is_finite_number(t) for t in v
-                )
-            elif key == "state_envelopes":
-                ok = isinstance(v, (list, tuple)) and all(
-                    isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_finite_number, e))
-                    for e in v
-                )
-            else:
-                ok = is_finite_number(v)
-            if not ok:
-                raise ConfigurationError(f"config field {key!r} has a bad type or value: {v!r}")
-        if "t1" in d:
-            d["t1"] = tuple(d["t1"])
-        if "state_envelopes" in d:
-            d["state_envelopes"] = tuple(tuple(e) for e in d["state_envelopes"])
-        return cls(**d)
+        """Config from a mapping of (some of) the fields, such as its
+        :meth:`to_dict` form read back from JSON; defaults for the rest."""
+        return cls(**check(d, SIM_FIELDS, "config"))
 
 
 @dataclass
@@ -239,7 +228,6 @@ def sample_state_path(prepared: int, cfg: SimConfig, rng: np.random.Generator) -
     """
     if prepared not in STATES:
         raise ConfigurationError(f"prepared state must be one of {STATES}, got {prepared}")
-    cfg.validate()
 
     segments = []
     t = 0.0
@@ -404,7 +392,6 @@ def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
     """
     if shots_per_state < 1:
         raise ConfigurationError("shots_per_state must be >= 1")
-    cfg.validate()
     est_bytes = 3 * shots_per_state * cfg.n_samples * 4
     if est_bytes > MAX_DATASET_BYTES:
         raise DataError(

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from readoutkit import Dataset, RawShot, save_dataset
+from readoutkit import Dataset, RawShot, lstm_param_count, save_dataset
 from readoutkit.cli import main
 
 
@@ -316,6 +316,30 @@ def test_corrupt_model_file_exits_4(workdir, capsys, corrupt):
     assert "file error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param({"output_bias": "no"}, id="output-bias-string"),
+        pytest.param({"output_bias": 1}, id="output-bias-1"),
+        pytest.param({"output_bias": []}, id="output-bias-list"),
+        pytest.param({"output_bias": {"a": 1}}, id="output-bias-object"),
+        pytest.param({"dropout": 0.5}, id="unknown-key"),
+    ],
+)
+def test_model_architecture_with_a_bad_or_unknown_field_exits_4(workdir, capsys, edit):
+    # the file holds the parameter count the sizes declare (with an output
+    # bias where the value is truthy), so only the field itself can refuse it
+    arch = {**LSTM_ARCH, **edit}
+    count = lstm_param_count(2, [4], 3, bool(arch.get("output_bias")))
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    model.write_bytes(_model_file(arch, np.zeros(count)))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "invalid architecture" in capsys.readouterr().err
+
+
 def test_unreadable_files_exit_4(workdir, capsys):
     rc = main(["evaluate", "--model", "missing.rkm", "--data", "missing.rkd"])
     assert rc == 4
@@ -361,6 +385,19 @@ def test_model_sidecar_without_input_length_exits_4(workdir, capsys):
     meta = json.loads(sidecar.read_text())
     del meta["input_length"]
     sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "input_length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [-3, 2.7, True, "40"])
+def test_model_sidecar_with_bad_input_length_exits_4(workdir, capsys, value):
+    # an input_length is an integer >= 1, not anything int() takes
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    sidecar = workdir / "gmm.rkm.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "input_length": value}))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
     assert "input_length" in capsys.readouterr().err

@@ -269,7 +269,7 @@ CONFIG_EDITS = st.dictionaries(
 )
 def test_fuzzed_sim_config_dicts(files, d):
     def build():
-        SimConfig.from_dict(d).validate()
+        SimConfig.from_dict(d)
 
     if not _loads_or_refuses(build):
         path = files["dir"] / "config.json"

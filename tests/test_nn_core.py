@@ -342,10 +342,10 @@ def test_non_finite_loss_raises_with_batch_index(rng):
 
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ConfigurationError):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigurationError):
-        TrainConfig(decay_gamma=1.5).validate()
+        TrainConfig(decay_gamma=1.5)
     with pytest.raises(ConfigurationError):
-        TrainConfig(decay_every=0).validate()
+        TrainConfig(decay_every=0)

@@ -18,8 +18,7 @@ from readoutkit.sim import _Renderer, decay_statistics
 
 
 def test_config_defaults_are_valid():
-    cfg = SimConfig()
-    cfg.validate()
+    cfg = SimConfig()  # a config is checked when it is built
     assert cfg.n_samples == 2000
     assert cfg.dt == 0.5
 
@@ -35,6 +34,7 @@ def test_config_sample_count_follows_duration():
         ("duration", 0.0),
         ("sample_rate", -1.0),
         ("f_if", 1.0),
+        ("f_if", -0.1),
         ("gamma_up", -0.1),
         ("noise_sigma", -1.0),
         ("phase_noise_sigma", -0.5),
@@ -46,9 +46,8 @@ def test_config_sample_count_follows_duration():
     ],
 )
 def test_config_validation_rejects(field, value):
-    cfg = SimConfig.from_dict({**SimConfig().to_dict(), field: value})
     with pytest.raises(ConfigurationError):
-        cfg.validate()
+        SimConfig.from_dict({**SimConfig().to_dict(), field: value})
 
 
 def test_config_json_roundtrip():
