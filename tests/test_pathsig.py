@@ -22,7 +22,7 @@ def _tensor_product(a, b, order):
 
 def _per_path_signature(points, order):
     """Per-path Chen loop that skips stationary steps: a reference that
-    shares no code with ``batch_signature`` and gives the same bytes."""
+    shares no code with ``batch_signature``."""
     pts = np.asarray(points, dtype=float)
     dim = pts.shape[1]
     sig = [np.ones(())] + [np.zeros((dim,) * k) for k in range(1, order + 1)]
@@ -41,6 +41,15 @@ def _per_path_signature(points, order):
             out.append(acc)
         sig = out
     return sig
+
+
+def _level_bound(points, k):
+    """Rounding bound ``k (n-1) eps L^k / k!`` on level k, where ``L`` is the
+    path's 1-norm length and ``L^k / k!`` bounds the level's entries."""
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    length = np.abs(np.diff(pts, axis=0)).sum()
+    eps = np.finfo(float).eps
+    return k * (len(pts) - 1) * eps * length**k / math.factorial(k)
 
 
 def test_path_transform_uniform_weights_example():
@@ -175,11 +184,14 @@ def test_trajectory_signature_default_width(rng):
 
 
 def test_batch_signature_matches_per_path(rng):
-    paths = rng.normal(size=(6, 12, 2))
+    # a path's row has the same bytes alone, in batches of 7 and in one of 600
+    paths = rng.normal(size=(600, 12, 2)).cumsum(axis=1)
     batch = batch_signature(paths, 5)
-    assert batch.shape == (6, 63)
-    for k in range(6):
-        assert np.allclose(batch[k], signature(paths[k], 5).flatten(), atol=1e-10)
+    assert batch.shape == (600, 63)
+    sevens = np.concatenate([batch_signature(paths[i : i + 7], 5) for i in range(0, 600, 7)])
+    for k in range(600):
+        alone = signature(paths[k], 5).flatten()
+        assert alone.tobytes() == batch[k].tobytes() == sevens[k].tobytes()
 
 
 def test_batch_signature_handles_stationary_steps(rng):
@@ -200,7 +212,9 @@ def test_segment_signature_norm_decay(rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 20])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("order", [0, 1, 2, 5])
-def test_signature_bytes_match_per_path_chen_loop(n, dim, order):
+def test_signature_matches_per_path_chen_loop(n, dim, order):
+    # Horner's scheme and the Chen product coincide up to order 1; above
+    # that they round differently, within the per-level bound
     rng = np.random.default_rng(100 * n + 10 * dim + order)
     pts = rng.normal(size=(n, dim))
     if n > 2:
@@ -210,7 +224,23 @@ def test_signature_bytes_match_per_path_chen_loop(n, dim, order):
     assert len(got) == order + 1
     for k, (lv_got, lv_want) in enumerate(zip(got, want)):
         assert lv_got.shape == lv_want.shape == (dim,) * k
-        assert lv_got.tobytes() == lv_want.tobytes()
+        if order <= 1:
+            assert lv_got.tobytes() == lv_want.tobytes()
+        else:
+            assert np.max(np.abs(lv_got - lv_want)) <= _level_bound(pts, k)
+
+
+def test_one_dimensional_levels_are_scaled_powers_of_the_displacement(rng):
+    # in one dimension level k is (x_end - x_0)^k / k! for any path: an
+    # oracle independent of both the Horner update and the Chen product
+    for _ in range(200):
+        steps = int(rng.integers(2, 201))
+        order = int(rng.integers(0, 7))
+        x = np.cumsum(rng.normal(size=steps + 1))
+        got = batch_signature(x[None, :, None], order)[0]
+        for k in range(order + 1):
+            exact = (x[-1] - x[0]) ** k / math.factorial(k)
+            assert abs(got[k] - exact) <= _level_bound(x, k)
 
 
 def test_signature_rejects_bad_input():
@@ -222,3 +252,10 @@ def test_signature_rejects_bad_input():
         signature(np.zeros((3, 2)), -1)
     with pytest.raises(ConfigurationError):
         batch_signature(np.zeros((3, 2)), 2)
+    with pytest.raises(ConfigurationError):
+        batch_signature(np.zeros((3, 0, 2)), 2)  # paths with no points
+    for order in (2.5, True, -1, "2"):
+        with pytest.raises(ConfigurationError):
+            batch_signature(np.zeros((3, 4, 2)), order)
+        with pytest.raises(ConfigurationError):
+            signature_length(2, order)
