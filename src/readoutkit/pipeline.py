@@ -259,14 +259,20 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]):
     Returns the same ``(kind, array, rate)`` triple as :func:`apply_stages`
     with the batch axis first.  Chunking bounds peak memory; results are
     identical to one big call because every stage is per-trace.  The shots
-    must share length and rate (``DataError`` otherwise).
+    must share length and rate and have only finite samples (``DataError``
+    naming the first bad shot otherwise).
     """
     if not shots:
         raise ConfigurationError("no shots to preprocess")
     _, rate = shot_format(shots)
     blocks = []
     for start in range(0, len(shots), CHUNK):
-        block = np.stack([s.samples for s in shots[start : start + CHUNK]]).astype(float)
+        block = np.stack([s.samples for s in shots[start : start + CHUNK]])
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            k = start + int(np.argmin(finite))
+            raise DataError(f"shot {k} (shot_id {shots[k].shot_id}) has non-finite samples")
+        block = block.astype(float)
         kind, arr, out_rate = apply_stages(block, rate, stages)
         blocks.append(arr)
     return kind, np.concatenate(blocks, axis=0), out_rate
@@ -314,9 +320,6 @@ class TrainedPipeline:
             raise IncompatibilityError(
                 f"pipeline was trained on {self.input_length}-sample shots, got {n}"
             )
-        for k, shot in enumerate(shots):
-            if not np.isfinite(shot.samples).all():
-                raise DataError(f"shot {k} has non-finite samples and cannot be classified")
 
     def _inputs(self, shots: list[RawShot]) -> np.ndarray:
         self._check_shots(shots)

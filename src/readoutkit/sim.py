@@ -12,22 +12,39 @@ Every attempt owns an independent random stream derived from
 herald bit, then (when enabled) the phase-noise steps and the ADC noise.
 Generation makes one pass over the attempts: each stream is seeded once,
 its path and herald bit are drawn, and a retained shot is rendered from the
-same stream, continuing after the herald draw.  The carrier (without phase
-noise), the state targets and the resonator ring-up from an empty cavity
-are tabulated once per call and sliced for each shot.  Path regeneration
-replays the same scan and renders nothing, so the same ``(cfg,
-shots_per_state)`` always yields the same bytes and the same paths.
+same stream, continuing after the herald draw, into its row of one
+``(3 * shots_per_state, n_samples)`` float32 block.  The carrier (without
+phase noise), the state targets and the resonator ring-up from an empty
+cavity are tabulated once per call and sliced for each shot.  Path
+regeneration replays the same scan and renders nothing, so the same
+``(cfg, shots_per_state)`` always yields the same bytes and the same paths.
+
+A dataset of at least ``POOL_MIN_SAMPLES`` samples is rendered on every
+usable CPU (``os.sched_getaffinity``), with no option: this process scans
+the attempts and ships each retained shot's row, path and stream state, in
+tasks of ``_POOL_CHUNK`` shots, to worker processes forked from it (no more
+than there are tasks), which render into the block, an anonymous shared
+mapping made before the fork.  A stream continued from its shipped
+state draws what the live stream would, so the bytes do not depend on the
+worker count.  Smaller datasets (below that, the pool's start-up outweighs
+its gain), a single usable CPU, a platform without
+``os.sched_getaffinity`` and a daemonic process (which may not have
+children) render in this process from the scan's live streams.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NON_NEGATIVE, POSITIVE, SEED, ConfigurationError, DataError, Field, check
-from .errors import is_finite_number
+from .errors import is_finite_number, is_size
 
 STATES = (0, 1, 2)
 
@@ -61,6 +78,13 @@ SIM_FIELDS = {
 
 # In-memory dataset size guard for generate_dataset (float32 samples).
 MAX_DATASET_BYTES = 4 << 30
+# Datasets of fewer samples (shots x samples per shot) render in-process:
+# the pool's start-up costs about as much as it saves at ~3000 shots of the
+# default config (2 vCPUs, median of 5: 600 shots 0.065 s in-process and
+# 0.114 s pooled, 3000 shots 0.288 and 0.281 s, 6000 shots 0.580 and 0.431 s).
+POOL_MIN_SAMPLES = 1 << 23
+# retained shots per task shipped to a render worker
+_POOL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -327,18 +351,6 @@ class _Renderer:
             clean = clean + rng.normal(0.0, cfg.noise_sigma, n)
         return clean.astype(np.float32)
 
-    def shot(
-        self, path: StatePath, rng: np.random.Generator, herald_pass: bool, shot_id: int
-    ) -> RawShot:
-        return RawShot(
-            samples=self.samples(path, rng),
-            label=path.initial_state,
-            herald_pass=herald_pass,
-            true_path=path,
-            shot_id=shot_id,
-            sample_rate=self.cfg.sample_rate,
-        )
-
 
 def synthesize_shot(
     path: StatePath,
@@ -355,7 +367,8 @@ def synthesize_shot(
     ``shot_rng(cfg.seed, shot_id)`` and its path equals the dataset's shot.
     """
     herald_pass = bool(rng.random() >= cfg.herald_error)
-    return _Renderer(cfg).shot(path, rng, herald_pass, shot_id)
+    samples = _Renderer(cfg).samples(path, rng)
+    return RawShot(samples, path.initial_state, herald_pass, path, shot_id, cfg.sample_rate)
 
 
 def _scan(cfg: SimConfig, shots_per_state: int):
@@ -383,25 +396,104 @@ def _scan(cfg: SimConfig, shots_per_state: int):
             attempt += 1
 
 
+def _check_shots_per_state(shots_per_state) -> None:
+    if not is_size(shots_per_state):
+        raise ConfigurationError(
+            f"shots_per_state must be an integer >= 1, not {shots_per_state!r}"
+        )
+
+
+def _pool_workers() -> int:
+    """Processes to render with: every usable CPU, or 1 (render in this
+    process) without ``os.sched_getaffinity`` or in a daemonic process."""
+    if not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_worker = None  # (renderer, block, generator) of a render worker
+
+
+def _start_worker(render: _Renderer, block: np.ndarray) -> None:
+    global _worker
+    _worker = (render, block, np.random.Generator(np.random.PCG64(0)))
+
+
+def _render_rows(tasks) -> None:
+    """Render each ``(row, path, stream state)`` into its row of the block."""
+    render, block, rng = _worker
+    for row, path, state in tasks:
+        rng.bit_generator.state = state
+        block[row] = render.samples(path, rng)
+
+
+def _render_pooled(render: _Renderer, block: np.ndarray, scan, workers: int) -> list:
+    """Scan here, render in ``workers`` forked processes; returns the
+    retained ``(attempt_id, path)`` pairs.  Every worker has exited when
+    this returns or raises.
+
+    Fork, not spawn: a forked worker inherits the renderer's tables and the
+    shared block, where a spawned one would import numpy afresh and need a
+    named segment.  Workers call no BLAS, so a BLAS thread pool alive at
+    the fork does not reach them.
+    """
+    kept, tasks, futures = [], [], []
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(render, block),
+    )
+    try:
+        for row, (attempt, path, rng) in enumerate(scan):
+            kept.append((attempt, path))
+            tasks.append((row, path, rng.bit_generator.state))
+            if len(tasks) == _POOL_CHUNK:
+                futures.append(pool.submit(_render_rows, tasks))
+                tasks = []
+        if tasks:
+            futures.append(pool.submit(_render_rows, tasks))
+        for future in futures:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return kept
+
+
 def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
     """Generate ``shots_per_state`` heralded shots for each of the 3 states.
 
     Shots failing heralding are discarded and replaced, so the retained count
     is exact.  Identical ``(cfg, shots_per_state)`` always yields a
-    bit-identical dataset.
+    bit-identical dataset, rendered in this process or by worker processes
+    (see the module docstring).  Every shot's ``samples`` is a row of one
+    float32 block.
     """
-    if shots_per_state < 1:
-        raise ConfigurationError("shots_per_state must be >= 1")
-    est_bytes = 3 * shots_per_state * cfg.n_samples * 4
-    if est_bytes > MAX_DATASET_BYTES:
+    _check_shots_per_state(shots_per_state)
+    rows, n = 3 * shots_per_state, cfg.n_samples
+    if rows * n * 4 > MAX_DATASET_BYTES:
         raise DataError(
-            f"requested dataset would need ~{est_bytes >> 20} MiB of sample storage"
+            f"requested dataset would need ~{rows * n * 4 >> 20} MiB of sample storage"
         )
 
     render = _Renderer(cfg)
+    scan = _scan(cfg, shots_per_state)
+    workers = 1
+    if rows * n >= POOL_MIN_SAMPLES:
+        workers = min(_pool_workers(), -(-rows // _POOL_CHUNK))  # no idle workers
+    if workers > 1:
+        # shared with the forked workers, so their rows need no copy back
+        block = np.frombuffer(mmap.mmap(-1, rows * n * 4), np.float32).reshape(rows, n)
+        kept = _render_pooled(render, block, scan, workers)
+    else:
+        block = np.empty((rows, n), np.float32)
+        kept = []
+        for row, (attempt, path, rng) in enumerate(scan):
+            block[row] = render.samples(path, rng)
+            kept.append((attempt, path))
     shots = [
-        render.shot(path, rng, herald_pass=True, shot_id=attempt)
-        for attempt, path, rng in _scan(cfg, shots_per_state)
+        RawShot(block[row], path.initial_state, True, path, attempt, cfg.sample_rate)
+        for row, (attempt, path) in enumerate(kept)
     ]
     return Dataset(shots=shots, config=cfg)
 
@@ -422,6 +514,7 @@ def regenerate_paths(
     rendered, so a config cannot make the check allocate more than the
     shots hold.
     """
+    _check_shots_per_state(shots_per_state)
     if shots is not None:
         if len(shots) != 3 * shots_per_state:
             raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")

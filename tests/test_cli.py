@@ -513,11 +513,12 @@ def test_training_on_shots_without_samples_exits_2(workdir, capsys, pipeline):
     assert not model.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_training_exits_3(workdir, capsys):
+@pytest.mark.parametrize("pipeline", ["gmm", "bandpass_lstm", "pipeline.json"])
+def test_nan_training_exits_2_naming_the_shot(workdir, capsys, pipeline):
     shots = []
     for k in range(30):
-        samples = np.full(400, np.nan, dtype=np.float32)
+        samples = np.zeros(400, dtype=np.float32)
+        samples[k] = np.nan
         shots.append(
             RawShot(
                 samples=samples,
@@ -530,19 +531,26 @@ def test_nan_training_exits_3(workdir, capsys):
         )
     bad = workdir / "nan.rkd"
     save_dataset(Dataset(shots=shots, config=None), bad)
-    rc = main(
-        [
-            "train",
-            "--data",
-            str(bad),
-            "--pipeline",
-            str(workdir / "pipeline.json"),
-            "--out",
-            str(workdir / "never.rkm"),
-        ]
-    )
+    if pipeline.endswith(".json"):
+        pipeline = str(workdir / pipeline)
+    model = workdir / "never.rkm"
+    rc = main(["train", "--data", str(bad), "--pipeline", pipeline, "--out", str(model)])
+    assert rc == 2
+    assert "shot 0 (shot_id " in capsys.readouterr().err  # the split's first shot
+    assert not model.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_exits_3(workdir, capsys):
+    data = simulate(workdir)
+    diverging = {**QUICK_PIPELINE, "train": {**QUICK_PIPELINE["train"], "learning_rate": 1e100}}
+    pipe = workdir / "diverging.json"
+    pipe.write_text(json.dumps(diverging))
+    model = workdir / "never.rkm"
+    rc = main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(model)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_missing_subcommand_raises_usage_exit():

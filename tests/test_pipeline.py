@@ -296,6 +296,25 @@ def test_pipeline_refuses_non_finite_shots(quiet_dataset, name, bad_value):
     assert fitted.predict_one(good) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("name", ["gmm", "bandpass_lstm", "signature_dense"])
+@pytest.mark.parametrize("row", [0, 179, 600])
+def test_training_refuses_non_finite_shots_naming_the_first(quiet_dataset, name, row):
+    import dataclasses
+
+    desc = standard_pipelines(bin_size=40)[name]
+    if name != "gmm":
+        desc["train"] = {"epochs": 1, "seed": 0}
+    # 4 x 180 shots: row 600 lies in the second 512-shot chunk
+    shots = list(quiet_dataset.shots) * 4
+    for k in (row, row + 3, len(shots) - 1):
+        samples = shots[k].samples.copy()
+        samples[k % len(samples)] = np.inf if k % 2 else np.nan
+        shots[k] = dataclasses.replace(shots[k], samples=samples)
+    message = f"shot {row} \\(shot_id {shots[row].shot_id}\\) has non-finite samples"
+    with pytest.raises(DataError, match=message):
+        train_pipeline(shots, desc)
+
+
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00garbage"])
 def test_pipeline_load_rejects_corrupt_sidecar(tmp_path, quiet_dataset, content):
     fitted = train_pipeline(quiet_dataset, standard_pipelines()["gmm"])

@@ -252,6 +252,22 @@ def test_decay_statistics_reports_fractions(decaying_dataset):
     assert 0.0 < stats[2] < 1.0
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "3", None])
+def test_shot_count_must_be_an_integer_of_at_least_one(count):
+    cfg = SimConfig(duration=20.0)
+    with pytest.raises(ConfigurationError, match="shots_per_state must be an integer >= 1"):
+        generate_dataset(cfg, count)
+    with pytest.raises(ConfigurationError, match="shots_per_state must be an integer >= 1"):
+        regenerate_paths(cfg, count)
+
+
+def test_shot_count_accepts_numpy_integers():
+    cfg = SimConfig(duration=20.0)
+    ds = generate_dataset(cfg, np.int64(2))
+    assert len(ds) == 6
+    assert regenerate_paths(cfg, np.int64(2), ds.shots) == [s.true_path for s in ds.shots]
+
+
 def test_rejects_absurd_dataset_request():
     cfg = SimConfig()
     with pytest.raises(DataError):
