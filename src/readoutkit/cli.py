@@ -73,10 +73,6 @@ def _resolve_descriptor(spec: str, dataset: Dataset) -> dict:
     )
 
 
-def _split(dataset: Dataset):
-    return evaluation.stratified_split(dataset.shots, train_frac=0.8)
-
-
 def _log_epoch(rec: dict) -> None:
     print(f"epoch {rec['epoch'] + 1:>3}  loss {rec['loss']:.6f}  lr {rec['lr']:.3e}")
 
@@ -99,7 +95,7 @@ def cmd_train(args) -> int:
     desc = _resolve_descriptor(args.pipeline, dataset)
     if args.seed is not None:
         desc.setdefault("train", {})["seed"] = args.seed
-    train_shots, test_shots = _split(dataset)
+    train_shots, test_shots = evaluation.stratified_split(dataset.shots)
     fitted = pl.train_pipeline(train_shots, desc, log_fn=_log_epoch)
     extra = {"train_shots": len(train_shots), "test_shots_held_out": len(test_shots)}
     if dataset.config is not None:
@@ -112,7 +108,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     fitted = pl.TrainedPipeline.load(args.model)
     dataset = load_dataset(args.data)
-    _, test_shots = _split(dataset)
+    _, test_shots = evaluation.stratified_split(dataset.shots)
     report = evaluation.evaluate(fitted, test_shots)
     print(evaluation.fidelity_table([report]))
     print()
@@ -136,7 +132,7 @@ def cmd_compare(args) -> int:
     desc_baseline = _resolve_descriptor(args.baseline, dataset)
     if args.seed is not None:
         desc_primary.setdefault("train", {})["seed"] = args.seed
-    train_shots, test_shots = _split(dataset)
+    train_shots, test_shots = evaluation.stratified_split(dataset.shots)
 
     baseline = pl.train_pipeline(train_shots, desc_baseline)
     primary = pl.train_pipeline(train_shots, desc_primary, log_fn=_log_epoch)

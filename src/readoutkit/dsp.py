@@ -9,8 +9,10 @@ real-input DFT (``rfft``).  :func:`bandpass` is the ``irfft`` of the masked
 ``rfft``.  A pipeline whose first stage is a bandpass does not call it per
 shot (unless the band is wide and the output long): every later stage is
 linear, so the pipeline evaluates the rest of the chain once per in-band
-basis tone and sums those responses against each shot's in-band ``rfft``
-coefficients (see :mod:`readoutkit.pipeline`).
+basis tone and sums those responses, in coefficient index order, against
+each shot's in-band ``rfft`` coefficients.  Either way the pipeline's front
+end returns one array of I-Q trajectories or points (see
+:mod:`readoutkit.pipeline`).
 """
 
 from __future__ import annotations

@@ -78,25 +78,12 @@ class DenseNetwork(Classifier):
             "output": self.output,
         }
 
-    @classmethod
-    def from_arch(cls, arch: dict, seed: int = 0) -> "DenseNetwork":
-        return cls(
-            input_dim=arch["input_dim"],
-            hidden=tuple(arch["hidden"]),
-            output_dim=arch["output_dim"],
-            output=arch.get("output", "softmax"),
-            seed=seed,
-        )
-
     def param_arrays(self) -> list[np.ndarray]:
         """Interleaved weight, bias per layer, input side first."""
         out = []
         for W, b in zip(self.weights, self.biases):
             out.extend([W, b])
         return out
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.param_arrays())
 
     def forward(self, x: np.ndarray):
         """x is (N, input_dim); returns ((N, output_dim) logits, cache)."""

@@ -75,10 +75,20 @@ def weighted_cross_entropy(
 
 
 class Classifier:
-    """Prediction for a network with ``forward``, ``batch_axis`` and
-    ``output``: logits from ``forward`` run over views of at most
-    ``PREDICT_BLOCK`` shots along the batch axis, so memory does not grow
-    with the number of shots."""
+    """What both networks share: building from an architecture block, the
+    parameter count, and prediction for a network with ``forward``,
+    ``batch_axis`` and ``output``: logits from ``forward`` run over views of
+    at most ``PREDICT_BLOCK`` shots along the batch axis, so memory does not
+    grow with the number of shots."""
+
+    @classmethod
+    def from_arch(cls, arch: dict, seed: int = 0):
+        """The network an architecture block describes: its fields other
+        than ``kind`` are the constructor's arguments."""
+        return cls(**{k: v for k, v in arch.items() if k != "kind"}, seed=seed)
+
+    def param_count(self) -> int:
+        return sum(p.size for p in self.param_arrays())
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

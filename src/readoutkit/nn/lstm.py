@@ -283,17 +283,6 @@ class LstmNetwork(Classifier):
             "output": self.output,
         }
 
-    @classmethod
-    def from_arch(cls, arch: dict, seed: int = 0) -> "LstmNetwork":
-        return cls(
-            input_dim=arch["input_dim"],
-            hidden=tuple(arch["hidden"]),
-            output_dim=arch["output_dim"],
-            output_bias=arch.get("output_bias", False),
-            output=arch.get("output", "softmax"),
-            seed=seed,
-        )
-
     def param_arrays(self) -> list[np.ndarray]:
         """Parameter tensors in a fixed declaration order: per layer Wx, Wh,
         b, then the readout weight and optional bias.  Serialization, the
@@ -307,9 +296,6 @@ class LstmNetwork(Classifier):
         if self.b_out is not None:
             out.append(self.b_out)
         return out
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.param_arrays())
 
     def forward(self, x: np.ndarray):
         """x is (T, N, input_dim); returns ((N, output_dim) logits, cache),

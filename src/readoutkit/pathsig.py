@@ -58,8 +58,6 @@ class SignatureVector:
     """
 
     levels: list[np.ndarray]
-    dim: int
-    order: int
 
     def flatten(self) -> np.ndarray:
         """Level-major 1-D layout: level 0, then level 1's dim entries,
@@ -81,7 +79,7 @@ def signature(points: np.ndarray, order: int) -> SignatureVector:
     flat = batch_signature(pts[None], order)[0]
     ends = np.cumsum([dim**k for k in range(order + 1)])
     levels = [lvl.reshape((dim,) * k) for k, lvl in enumerate(np.split(flat, ends[:-1]))]
-    return SignatureVector(levels=levels, dim=dim, order=order)
+    return SignatureVector(levels)
 
 
 def trajectory_signature(traj_array: np.ndarray, order: int = 5) -> np.ndarray:

@@ -21,18 +21,20 @@ Stage rules: exactly one ``demodulate``; ``bandpass`` only before it;
 ``bin`` and ``path_transform`` only after it; ``integrate`` only as the
 final stage, required by and exclusive to the ``gmm`` model.
 
-A stage list that starts with ``bandpass`` runs on its in-band DFT bins:
-one ``rfft`` per trace, a gather of the bins :func:`dsp.band_bins` keeps,
-and a sum of their real and imaginary parts against the response of the
-rest of the list to each bin's basis tone.  The responses come from the
-per-sample code itself, run once on the basis tones and cached per stage
-list, trace length and rate.  Every stage after the bandpass is linear, so
-this is the same map and agrees with the per-sample chain to rounding,
-without the complex FFT pair and the per-sample mixing.  The sum runs in a
-fixed order with elementwise operations, so a shot's output does not
-depend on the batch it is in or on the BLAS thread count.  Where the sum
-would cost more than the per-sample chain (a wide band without binning),
-the per-sample chain runs instead.
+The front end returns one array: ``(batch, steps, 2)`` I-Q trajectories,
+or ``(batch, 2)`` points after ``integrate``.  A stage list that starts
+with ``bandpass`` runs on its in-band DFT bins: one ``rfft`` per trace, a
+gather of the bins :func:`dsp.band_bins` keeps, and a sum of their real
+and imaginary parts against the response of the rest of the list to each
+bin's basis tone.  The responses come from the per-sample code itself, run
+once on the basis tones and cached per stage list, trace length and rate.
+Every stage after the bandpass is linear, so this is the same map and
+agrees with the per-sample chain to rounding, without the complex FFT pair
+and the per-sample mixing.  The sum is a running sum in coefficient index
+order with elementwise operations, so a shot's output does not depend on
+the batch it is in or on the BLAS thread count.  Where the sum would cost
+more than the per-sample chain (a wide band without binning), the
+per-sample chain runs instead.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import copy
 import functools
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,9 +49,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dataio import read_sidecar, sidecar_path
-from .errors import NON_NEGATIVE, REQUIRED, SIZE, ConfigurationError, DataError, Field
-from .errors import FileFormatError, IncompatibilityError, check, is_finite_number, is_size
+from .dataio import canonical_json, read_sidecar, sidecar_path
+from .errors import NON_NEGATIVE, POSITIVE, REQUIRED, SIZE, ConfigurationError, DataError
+from .errors import Field, FileFormatError, IncompatibilityError, check, is_finite_number, is_size
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
 from .nn.lstm import LstmNetwork
@@ -97,7 +98,12 @@ MODEL_FIELDS = {
         "features": _MAPPING._replace(default={"type": "signature", "order": 5}),
     },
 }
-FEATURE_FIELDS = {"signature": {"order": SIZE._replace(default=5)}, "flat": {}}
+# the order sets the signature's size, 2**(k + 1) - 1 entries per 2-D path
+# at order k, so it is capped like the layer widths
+FEATURE_FIELDS = {
+    "signature": {"order": Field(lambda v: is_size(v) and v <= 8, "an integer in [1, 8]", 5)},
+    "flat": {},
+}
 WEIGHTING_FIELDS = {
     "uniform": {},
     "gmm_confidence": {
@@ -107,10 +113,8 @@ WEIGHTING_FIELDS = {
 CHUNK = 512
 # the bin-domain front end: at most this many multiply-adds per raw sample
 # (it costs as much as the per-sample chain at about 10 on 2000-sample
-# traces and 6 on 400-sample ones; the stock pipelines need 1), and product
-# temporaries of about this many elements
+# traces and 6 on 400-sample ones; the stock pipelines need 1)
 FOLD_MAX_TERMS = 8
-SUM_BLOCK = 1 << 16
 
 
 def normalize_descriptor(desc: dict) -> dict:
@@ -152,55 +156,46 @@ def normalize_descriptor(desc: dict) -> dict:
     return d
 
 
-def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]):
+def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]) -> np.ndarray:
     """Run the stage list over a (batch, n) block of raw traces.
 
-    Returns ``("traj", (batch, steps, 2) array, out_rate)`` when the chain
-    ends in a trajectory, or ``("point", (batch, 2) array, out_rate)`` after
-    an integrate stage.  A list that starts with ``bandpass`` is evaluated
-    on its in-band DFT bins (:func:`_fold`) unless that costs more than the
-    per-sample chain, which runs every other list.
+    Returns a (batch, steps, 2) trajectory array, or a (batch, 2) point
+    array after an integrate stage.  A list that starts with ``bandpass``
+    is evaluated on its in-band DFT bins (:func:`_fold`) unless that costs
+    more than the per-sample chain, which runs every other list.
     """
     x = np.asarray(samples, dtype=float)
     fold = None
     if stages and stages[0]["op"] == "bandpass":
-        key = json.dumps(
-            stages, sort_keys=True, separators=(",", ":"), default=lambda v: np.asarray(v).tolist()
-        )
-        fold = _band_response(key, x.shape[-1], sample_rate)
+        fold = _band_response(canonical_json(stages), x.shape[-1], sample_rate)
     if fold is None:
         return _apply_per_sample(x, sample_rate, stages)
     return _fold(x, *fold)
 
 
-def _apply_per_sample(x: np.ndarray, sample_rate: float, stages: list[dict]):
+def _apply_per_sample(x: np.ndarray, rate: float, stages: list[dict]) -> np.ndarray:
     # I and Q travel as rows 0 and 1 of one array, so each stage runs once
-    rate = sample_rate
     iq = None
-    kind = "raw"
     for st in stages:
         op = st["op"]
         if op == "bandpass":
             x = dsp.bandpass(x, rate, st["center"], st["half_width"])
         elif op == "demodulate":
             iq = dsp.demodulate(x, rate, st["frequency"])
-            kind = "traj"
         elif op == "bin":
             if st["size"] > iq.shape[-1]:
                 raise ConfigurationError(
                     f"bin size {st['size']} exceeds the {iq.shape[-1]}-step trajectory"
                 )
             iq = dsp.bin_average(iq, st["size"])
-            rate = rate / st["size"]
         elif op == "path_transform":
             w = st.get("weights")
             iq = path_transform(iq, None if w is None else np.asarray(w, dtype=float))
         elif op == "integrate":
             iq = iq.mean(axis=-1)
-            kind = "point"
-    if kind == "raw":
+    if iq is None:
         raise ConfigurationError("stage list never demodulated the trace")
-    return kind, np.ascontiguousarray(np.moveaxis(iq, 0, -1)), rate
+    return np.ascontiguousarray(np.moveaxis(iq, 0, -1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -209,16 +204,16 @@ def _band_response(stages_json: str, n: int, sample_rate: float):
     the stage list to each bin's basis tones ``irfft(e_k)`` and
     ``irfft(1j * e_k)``, in rows 2j and 2j + 1 for ``k = bins[j]``.
 
-    Returns ``(bins, kind, response, out_rate)``, both arrays read-only,
-    ``response`` shaped ``(2 * len(bins),) + one trace's output shape``; or
-    ``None`` when the per-bin sum would take more than ``FOLD_MAX_TERMS``
-    multiply-adds per raw sample (a wide band without binning), where the
-    per-sample chain is faster.
+    Returns ``(bins, response)``, both read-only, ``response`` shaped
+    ``(2 * len(bins),) + one trace's output shape``; or ``None`` when the
+    per-bin sum would take more than ``FOLD_MAX_TERMS`` multiply-adds per
+    raw sample (a wide band without binning), where the per-sample chain is
+    faster.
     """
     stages = json.loads(stages_json)
     bp = stages[0]
     bins = dsp.band_bins(n, sample_rate, bp["center"], bp["half_width"])
-    _, probe, _ = apply_stages(np.zeros((1, n)), sample_rate, stages[1:])
+    probe = apply_stages(np.zeros((1, n)), sample_rate, stages[1:])
     if 2 * len(bins) * probe.size > FOLD_MAX_TERMS * n:
         return None
     rows = np.arange(len(bins))
@@ -226,41 +221,41 @@ def _band_response(stages_json: str, n: int, sample_rate: float):
     unit[2 * rows, bins] = 1.0
     unit[2 * rows + 1, bins] = 1j
     tones = np.fft.irfft(unit, n=n, axis=-1)
-    kind, response, rate = apply_stages(tones, sample_rate, stages[1:])
+    response = apply_stages(tones, sample_rate, stages[1:])
     bins.flags.writeable = response.flags.writeable = False
-    return bins, kind, response, rate
+    return bins, response
 
 
-def _fold(x: np.ndarray, bins: np.ndarray, kind: str, response: np.ndarray, rate: float):
+def _fold(x: np.ndarray, bins: np.ndarray, response: np.ndarray) -> np.ndarray:
     """The stage list evaluated on the in-band ``rfft`` coefficients.
 
     The bandpass output is ``sum_k Re X_k * irfft(e_k) + Im X_k *
     irfft(1j * e_k)`` over the in-band bins k, and every later stage is
     linear, so the chain's output is the same sum over the responses of the
-    rest of the list to those basis tones.  Each output element is summed
-    over the coefficients in index order by elementwise adds (a reduction
-    over a non-contiguous axis), never by a BLAS product, so a shot's row
-    has the same bytes in any batch and at any thread count.  Blocks of
-    rows keep the product temporary near ``SUM_BLOCK`` elements.
+    rest of the list to those basis tones.  The sum is a running sum in
+    coefficient index order, starting from the first term (zeros for an
+    empty band), by elementwise operations, never by a BLAS product, so a
+    shot's row has the same bytes in any batch and at any thread count.
     """
+    if not len(response):
+        return np.zeros((len(x),) + response.shape[1:])
     # (batch, 2 * bins) reals: Re X_k, Im X_k per in-band bin, as the rows
     coeffs = np.ascontiguousarray(np.fft.rfft(x, axis=-1)[:, bins]).view(float)
-    flat = response.reshape(len(response), math.prod(response.shape[1:]))
-    out = np.empty((len(x), flat.shape[1]))
-    step = max(1, SUM_BLOCK // max(flat.size, 1))
-    for r in range(0, len(x), step):
-        out[r : r + step] = (coeffs[r : r + step, :, None] * flat).sum(axis=1)
-    return kind, out.reshape((len(x),) + response.shape[1:]), rate
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * (response.ndim - 1))
+    out = coeffs[:, 0] * response[0]
+    for j in range(1, len(response)):
+        out += coeffs[:, j] * response[j]
+    return out
 
 
-def preprocess_batch(shots: list[RawShot], stages: list[dict]):
+def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
     """Stage application over many shots, ``CHUNK`` shots at a time.
 
-    Returns the same ``(kind, array, rate)`` triple as :func:`apply_stages`
-    with the batch axis first.  Chunking bounds peak memory; results are
-    identical to one big call because every stage is per-trace.  The shots
-    must share length and rate and have only finite samples (``DataError``
-    naming the first bad shot otherwise).
+    Returns the same array as :func:`apply_stages`, the batch axis first.
+    Chunking bounds peak memory; results are identical to one big call
+    because every stage is per-trace.  The shots must share length and rate
+    and have only finite samples (``DataError`` naming the first bad shot
+    otherwise).
     """
     if not shots:
         raise ConfigurationError("no shots to preprocess")
@@ -272,21 +267,20 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]):
         if not finite.all():
             k = start + int(np.argmin(finite))
             raise DataError(f"shot {k} (shot_id {shots[k].shot_id}) has non-finite samples")
+        # rebinding frees the float32 stack before the stages run
         block = block.astype(float)
-        kind, arr, out_rate = apply_stages(block, rate, stages)
-        blocks.append(arr)
-    return kind, np.concatenate(blocks, axis=0), out_rate
+        blocks.append(apply_stages(block, rate, stages))
+    return np.concatenate(blocks, axis=0)
 
 
 def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
     """Plain demodulate-and-average I-Q points, the baseline representation
     used both by the gmm model and by confidence weighting."""
     stages = [{"op": "demodulate", "frequency": frequency}, {"op": "integrate"}]
-    _, pts, _ = preprocess_batch(shots, stages)
-    return pts
+    return preprocess_batch(shots, stages)
 
 
-def _model_inputs(desc: dict, kind: str, arr: np.ndarray, lstm_dtype=np.float64):
+def _model_inputs(desc: dict, arr: np.ndarray, lstm_dtype=np.float64):
     """Map preprocessed output onto the model family's input layout; an
     lstm's input is cast to ``lstm_dtype`` in the copy that transposes it."""
     mkind = desc["model"]["kind"]
@@ -307,6 +301,7 @@ class TrainedPipeline:
     descriptor: dict
     model: object
     input_length: int
+    sample_rate: float
 
     @property
     def name(self) -> str:
@@ -315,16 +310,19 @@ class TrainedPipeline:
     def _check_shots(self, shots: list[RawShot]) -> None:
         if not shots:
             raise ConfigurationError("no shots to classify")
-        n = len(shots[0].samples)
+        n, rate = len(shots[0].samples), shots[0].sample_rate
         if n != self.input_length:
             raise IncompatibilityError(
                 f"pipeline was trained on {self.input_length}-sample shots, got {n}"
             )
+        if rate != self.sample_rate:
+            raise IncompatibilityError(
+                f"pipeline was trained on shots at {self.sample_rate} samples/ns, got {rate}"
+            )
 
     def _inputs(self, shots: list[RawShot]) -> np.ndarray:
         self._check_shots(shots)
-        kind, arr, _ = preprocess_batch(shots, self.descriptor["stages"])
-        return _model_inputs(self.descriptor, kind, arr)
+        return _model_inputs(self.descriptor, preprocess_batch(shots, self.descriptor["stages"]))
 
     def predict(self, shots: list[RawShot]) -> np.ndarray:
         return self.model.predict(self._inputs(shots))
@@ -336,7 +334,11 @@ class TrainedPipeline:
         return int(self.predict([shot])[0])
 
     def save(self, path: str | Path, extra_meta: dict | None = None) -> None:
-        meta = {"pipeline": self.descriptor, "input_length": self.input_length}
+        meta = {
+            "pipeline": self.descriptor,
+            "input_length": self.input_length,
+            "sample_rate": self.sample_rate,
+        }
         if extra_meta:
             meta.update(extra_meta)
         save_model(self.model, path, extra_meta=meta)
@@ -358,12 +360,12 @@ class TrainedPipeline:
                 f"{sidecar} describes a model other than the one in {path}: "
                 f"{desc['model']} against {arch}"
             )
-        input_length = meta.get("input_length")
-        if not is_size(input_length):
-            raise FileFormatError(
-                f"{sidecar} has no valid input_length (an integer >= 1): {input_length!r}"
-            )
-        return cls(descriptor=desc, model=model, input_length=input_length)
+        for key, field in (("input_length", SIZE), ("sample_rate", POSITIVE)):
+            if not field.test(meta.get(key)):
+                raise FileFormatError(
+                    f"{sidecar} has no valid {key} ({field.rule}): {meta.get(key)!r}"
+                )
+        return cls(desc, model, meta["input_length"], meta["sample_rate"])
 
 
 def train_pipeline(
@@ -385,16 +387,14 @@ def train_pipeline(
         raise ConfigurationError("cannot train a pipeline on zero shots")
     desc = normalize_descriptor(descriptor)
     labels = np.array([s.label for s in shots], dtype=int)
-    input_length = len(shots[0].samples)
+    input_length, sample_rate = shot_format(shots)
     if input_length == 0:
         raise DataError("cannot train a pipeline on shots with no samples")
 
-    kind, arr, _ = preprocess_batch(shots, desc["stages"])
-    X = _model_inputs(desc, kind, arr, lstm_dtype=np.float32)
+    X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]), lstm_dtype=np.float32)
 
     if desc["model"]["kind"] == "gmm":
-        model = GmmClassifier.fit(X, labels)
-        return TrainedPipeline(descriptor=desc, model=model, input_length=input_length)
+        return TrainedPipeline(desc, GmmClassifier.fit(X, labels), input_length, sample_rate)
 
     weighting = desc["weighting"]
     if weighting["kind"] == "gmm_confidence":
@@ -407,9 +407,10 @@ def train_pipeline(
 
     tc = TrainConfig.from_dict(desc.get("train", {}))
     arch = {**desc["model"], "input_dim": X.shape[-1], "output_dim": int(labels.max()) + 1}
+    arch.pop("features", None)  # the dense model's feature map, not a network argument
     model = (LstmNetwork if arch["kind"] == "lstm" else DenseNetwork).from_arch(arch, seed=tc.seed)
     train(model, X, labels, weights=weights, config=tc, log_fn=log_fn)
-    return TrainedPipeline(descriptor=desc, model=model, input_length=input_length)
+    return TrainedPipeline(desc, model, input_length, sample_rate)
 
 
 def standard_pipelines(

@@ -38,7 +38,7 @@ def test_instrumented_patches_and_restores_every_attribute(quiet_dataset):
             assert patched, owner
         pipeline = OWNERS[3]
         stages = pipeline.normalize_descriptor(pipeline.standard_pipelines()["lstm"])["stages"]
-        _, arr, _ = pipeline.preprocess_batch(quiet_dataset.shots[:4], stages)
+        arr = pipeline.preprocess_batch(quiet_dataset.shots[:4], stages)
     assert arr.shape == (4, 10, 2) and np.isfinite(arr).all()
     names = {span["name"] for span in tracer.spans}
     assert {"pipeline.preprocess", "dsp.demodulate", "dsp.bin"} <= names

@@ -324,6 +324,7 @@ def test_corrupt_model_file_exits_4(workdir, capsys, corrupt):
         pytest.param({"output_bias": []}, id="output-bias-list"),
         pytest.param({"output_bias": {"a": 1}}, id="output-bias-object"),
         pytest.param({"dropout": 0.5}, id="unknown-key"),
+        pytest.param({"hidden": [1025]}, id="hidden-past-1024"),
     ],
 )
 def test_model_architecture_with_a_bad_or_unknown_field_exits_4(workdir, capsys, edit):
@@ -401,6 +402,60 @@ def test_model_sidecar_with_bad_input_length_exits_4(workdir, capsys, value):
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
     assert "input_length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, 0, -2.0, float("inf"), True, "2.0"])
+def test_model_sidecar_without_a_valid_sample_rate_exits_4(workdir, capsys, value):
+    # None drops the field; a rate is a finite number > 0
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    sidecar = workdir / "gmm.rkm.json"
+    meta = json.loads(sidecar.read_text())
+    assert meta["sample_rate"] == 2.0
+    del meta["sample_rate"]
+    if value is not None:
+        meta["sample_rate"] = value
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "sample_rate" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_data_at_another_sample_rate_exits_2(workdir, capsys):
+    data = simulate(workdir)
+    model = workdir / "gmm.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
+    # the same 400 samples per shot, at half the rate
+    slow_config = {**QUICK_CONFIG, "duration": 400.0, "sample_rate": 1.0}
+    (workdir / "config.json").write_text(json.dumps(slow_config))
+    slow = simulate(workdir, "slow.rkd")
+    assert "samples per shot: 400, sample rate: 1.0" in capsys.readouterr().out
+    assert main(["evaluate", "--model", str(model), "--data", str(slow)]) == 2
+    assert "trained on shots at 2.0 samples/ns, got 1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # refused while the descriptor is read: before the caps this asked
+        # numpy for one 4e18-element weight block
+        pytest.param({"kind": "lstm", "hidden": [10**9]}, id="lstm-width"),
+        pytest.param({"kind": "dense", "hidden": [1025]}, id="dense-width"),
+        pytest.param(
+            {"kind": "dense", "features": {"type": "signature", "order": 9}}, id="signature-order"
+        ),
+    ],
+)
+def test_train_refuses_descriptor_sizes_past_their_caps_exits_2(workdir, capsys, model):
+    data = simulate(workdir)
+    pipe = workdir / "wide.json"
+    pipe.write_text(json.dumps({**QUICK_PIPELINE, "model": model}))
+    out = workdir / "wide.rkm"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(out)]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _drop_pipeline(meta):

@@ -9,7 +9,6 @@ the oracle byte for byte.
 """
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -21,6 +20,7 @@ import pytest
 from readoutkit import (
     ConfigurationError,
     SimConfig,
+    canonical_json,
     generate_dataset,
     normalize_descriptor,
     preprocess_batch,
@@ -36,7 +36,6 @@ def oracle_stages(samples, rate, stages):
     """The per-sample stage chain with the complex-FFT bandpass."""
     x = np.asarray(samples, dtype=float)
     i = q = None
-    kind = "raw"
     for st in stages:
         op = st["op"]
         if op == "bandpass":
@@ -48,13 +47,11 @@ def oracle_stages(samples, rate, stages):
             ph = 2.0 * np.pi * st["frequency"] * (np.arange(x.shape[-1]) / rate)
             i = 2.0 * x * np.cos(ph)
             q = -2.0 * x * np.sin(ph)
-            kind = "traj"
         elif op == "bin":
             size = st["size"]
             steps = i.shape[-1] // size
             i = i[..., : steps * size].reshape(i.shape[:-1] + (steps, size)).mean(axis=-1)
             q = q[..., : steps * size].reshape(q.shape[:-1] + (steps, size)).mean(axis=-1)
-            rate = rate / size
         elif op == "path_transform":
             w = st.get("weights")
             di = np.diff(i, axis=-1, prepend=i[..., :1])
@@ -67,8 +64,7 @@ def oracle_stages(samples, rate, stages):
         elif op == "integrate":
             i = i.mean(axis=-1)
             q = q.mean(axis=-1)
-            kind = "point"
-    return kind, np.stack([i, q], axis=-1), rate
+    return np.stack([i, q], axis=-1)
 
 
 def relative_error(a, b):
@@ -84,8 +80,7 @@ def demod(frequency=0.1):
 
 
 def band_response(stages, n=2000, rate=2.0):
-    key = json.dumps(stages, sort_keys=True, separators=(",", ":"))
-    return _band_response(key, n, rate)
+    return _band_response(canonical_json(stages), n, rate)
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +96,8 @@ def block(shots):
 @pytest.mark.parametrize("name", ["bandpass_lstm", "signature_dense"])
 def test_stock_pipelines_match_oracle(block, name):
     stages = normalize_descriptor(standard_pipelines()[name])["stages"]
-    kind, arr, rate = apply_stages(block, 2.0, stages)
-    o_kind, o_arr, o_rate = oracle_stages(block, 2.0, stages)
-    assert (kind, rate) == (o_kind, o_rate)
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
     assert arr.shape == o_arr.shape == (60, 50, 2)
     assert relative_error(arr, o_arr) < 1e-12
 
@@ -120,17 +114,16 @@ def test_stock_pipelines_match_oracle(block, name):
 )
 def test_linear_tails_match_oracle(block, tail):
     stages = [bp(), demod()] + tail
-    kind, arr, _ = apply_stages(block, 2.0, stages)
-    o_kind, o_arr, _ = oracle_stages(block, 2.0, stages)
-    assert kind == o_kind
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
     assert arr.shape == o_arr.shape
     assert relative_error(arr, o_arr) < 1e-12
 
 
 def test_two_bandpass_stages_match_oracle(block):
     stages = [bp(0.1, 0.01), bp(0.104, 0.004), demod(), {"op": "bin", "size": 40}]
-    _, arr, _ = apply_stages(block, 2.0, stages)
-    _, o_arr, _ = oracle_stages(block, 2.0, stages)
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
     assert relative_error(arr, o_arr) < 1e-12
 
 
@@ -149,8 +142,8 @@ def test_band_edges_and_odd_lengths_match_oracle(rng, n, center, half_width):
     for tail in ([{"op": "bin", "size": 25}], [{"op": "integrate"}]):
         stages = [bp(center, half_width), demod(center)] + tail
         assert band_response(stages, n) is not None
-        _, arr, _ = apply_stages(x, 2.0, stages)
-        _, o_arr, _ = oracle_stages(x, 2.0, stages)
+        arr = apply_stages(x, 2.0, stages)
+        o_arr = oracle_stages(x, 2.0, stages)
         assert arr.shape == o_arr.shape
         assert relative_error(arr, o_arr) < 1e-12
 
@@ -159,18 +152,17 @@ def test_empty_band_gives_zeros(block):
     # bins lie 0.001 apart at n=2000, rate 2: none is within 1e-4 of 0.1003
     assert band_bins(2000, 2.0, 0.1003, 1e-4).size == 0
     stages = [bp(0.1003, 1e-4), demod(), {"op": "bin", "size": 40}]
-    kind, arr, rate = apply_stages(block, 2.0, stages)
-    o_kind, o_arr, o_rate = oracle_stages(block, 2.0, stages)
-    assert (kind, rate) == (o_kind, o_rate)
-    assert arr.shape == o_arr.shape
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
+    assert arr.shape == o_arr.shape == (60, 50, 2)
     assert np.all(arr == 0.0) and np.all(o_arr == 0.0)
 
 
 @pytest.mark.parametrize("name", ["lstm", "gmm"])
 def test_stage_lists_without_bandpass_match_oracle_bytes(block, name):
     stages = normalize_descriptor(standard_pipelines()[name])["stages"]
-    _, arr, _ = apply_stages(block, 2.0, stages)
-    _, o_arr, _ = oracle_stages(block, 2.0, stages)
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
     assert np.array_equal(arr, o_arr)
 
 
@@ -190,9 +182,8 @@ def test_one_iq_array_matches_per_channel_bytes(block, tail):
     """The chain carries I and Q as rows of one array; the oracle runs each
     stage on I and on Q apart and stacks them at the end."""
     stages = [demod()] + tail
-    kind, arr, rate = apply_stages(block, 2.0, stages)
-    o_kind, o_arr, o_rate = oracle_stages(block, 2.0, stages)
-    assert (kind, rate) == (o_kind, o_rate)
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
     assert arr.flags.c_contiguous
     assert arr.shape == o_arr.shape
     assert arr.tobytes() == o_arr.tobytes()
@@ -211,13 +202,13 @@ def test_fold_responses_match_per_channel_bytes(stages):
     """The fold's response table is the rest of the list run on the basis
     tones irfft(e_k) and irfft(1j * e_k), rows 2j and 2j + 1."""
     n = 2000
-    bins, kind, response, rate = band_response(stages, n)
+    bins, response = band_response(stages, n)
     unit = np.zeros((2 * len(bins), n // 2 + 1), dtype=complex)
     unit[0::2][np.arange(len(bins)), bins] = 1.0
     unit[1::2][np.arange(len(bins)), bins] = 1j
     tones = np.fft.irfft(unit, n=n, axis=-1)
-    o_kind, o_response, o_rate = oracle_stages(tones, 2.0, stages[1:])
-    assert (kind, rate) == (o_kind, o_rate)
+    o_response = oracle_stages(tones, 2.0, stages[1:])
+    assert response.shape == o_response.shape
     assert response.tobytes() == o_response.tobytes()
 
 
@@ -254,14 +245,14 @@ def test_bandpass_without_demodulate_still_rejected(block):
 )
 def test_fold_runs_where_it_is_cheaper(block, stages, folds):
     assert (band_response(stages) is not None) == folds
-    _, arr, _ = apply_stages(block, 2.0, stages)
-    _, o_arr, _ = oracle_stages(block, 2.0, stages)
+    arr = apply_stages(block, 2.0, stages)
+    o_arr = oracle_stages(block, 2.0, stages)
     assert relative_error(arr, o_arr) < 1e-12
 
 
 def test_fold_sums_coefficients_in_index_order(block):
     stages = normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"]
-    bins, _, response, _ = band_response(stages)
+    bins, response = band_response(stages)
     assert not response.flags.writeable
     assert response.shape == (2 * len(bins), 50, 2)
     coeffs = np.fft.rfft(block, axis=-1)[:, bins]
@@ -269,7 +260,7 @@ def test_fold_sums_coefficients_in_index_order(block):
     acc = terms[:, 0, None, None] * response[0]
     for j in range(1, len(response)):
         acc = acc + terms[:, j, None, None] * response[j]
-    _, arr, _ = apply_stages(block, 2.0, stages)
+    arr = apply_stages(block, 2.0, stages)
     assert arr.tobytes() == acc.tobytes()
 
 
@@ -280,10 +271,10 @@ def test_single_shot_equals_its_row_in_any_chunk(chunk):
         stages = normalize_descriptor(standard_pipelines()[name])["stages"]
         if name == "gmm":
             stages = [bp()] + stages
-        parts = [preprocess_batch(shots[s : s + chunk], stages)[1] for s in range(0, 520, chunk)]
+        parts = [preprocess_batch(shots[s : s + chunk], stages) for s in range(0, 520, chunk)]
         batch = np.concatenate(parts)
         for k in (0, 1, 6, 7, 300, 511, 519):
-            _, alone, _ = apply_stages(shots[k].samples[None], 2.0, stages)
+            alone = apply_stages(shots[k].samples[None], 2.0, stages)
             assert alone[0].tobytes() == batch[k].tobytes()
 
 
@@ -292,7 +283,7 @@ import hashlib
 import readoutkit as rk
 shots = rk.generate_dataset(rk.SimConfig(seed=5), shots_per_state=200).shots
 stages = rk.normalize_descriptor(rk.standard_pipelines()["bandpass_lstm"])["stages"]
-_, arr, _ = rk.preprocess_batch(shots, stages)
+arr = rk.preprocess_batch(shots, stages)
 print(hashlib.sha256(arr.tobytes()).hexdigest())
 """
 

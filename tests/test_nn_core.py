@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from readoutkit.nn.activations import (
 )
 from readoutkit.nn.dense import dense_param_count
 from readoutkit.nn.loss import weighted_cross_entropy
+from readoutkit.nn.serialize import MODEL_MAGIC, MODEL_VERSION, load_model
 
 
 def test_sigmoid_matches_logistic_form(rng):
@@ -86,6 +89,33 @@ def test_dense_param_count_linear_in_input():
         assert dense_param_count(d, (32, 16, 8), 3) == 32 * d + 723
     model = DenseNetwork(63)
     assert model.param_count() == 32 * 63 + 723
+
+
+def test_dense_from_arch_round_trip(rng):
+    net = DenseNetwork(5, (4, 3), 2, output="sigmoid", seed=1)
+    rebuilt = DenseNetwork.from_arch(net.arch(), seed=1)
+    assert rebuilt.arch() == net.arch()
+    for p, q in zip(rebuilt.param_arrays(), net.param_arrays(), strict=True):
+        assert np.array_equal(p, q)
+    x = rng.normal(size=(7, 5))
+    assert np.array_equal(rebuilt.forward(x)[0], net.forward(x)[0])
+
+
+@pytest.mark.parametrize("kind", ["dense", "lstm"])
+def test_model_file_without_output_fields_loads_with_constructor_defaults(tmp_path, kind):
+    # save_model writes every field; an older or hand-written block may not
+    arch = {"kind": kind, "input_dim": 3, "hidden": [4], "output_dim": 2}
+    net = (DenseNetwork if kind == "dense" else LstmNetwork)(3, (4,), 2, seed=2)
+    params = np.concatenate([p.ravel() for p in net.param_arrays()])
+    arch_bytes = json.dumps(arch).encode()
+    head = struct.pack("<12sII", MODEL_MAGIC, MODEL_VERSION, len(arch_bytes))
+    raw = head + arch_bytes + struct.pack("<Q", params.size) + params.astype("<f8").tobytes()
+    (tmp_path / "m.rkm").write_bytes(raw)
+    loaded = load_model(tmp_path / "m.rkm")
+    assert type(loaded) is type(net)
+    assert loaded.arch() == net.arch()  # output "softmax", and no output bias
+    for p, q in zip(loaded.param_arrays(), net.param_arrays(), strict=True):
+        assert np.array_equal(p, q)
 
 
 def test_lstm_forward_matches_scalar_reference():

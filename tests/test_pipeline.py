@@ -82,6 +82,10 @@ def test_normalize_does_not_mutate_input():
         ([demod_stage(), {"op": "bin", "size": 0}], {"kind": "lstm"}),
         # path transform before demodulate
         ([{"op": "path_transform"}, demod_stage()], {"kind": "lstm"}),
+        # sizes past their caps: a layer width over 1024, a signature order over 8
+        ([demod_stage()], {"kind": "lstm", "hidden": [1025]}),
+        ([demod_stage()], {"kind": "dense", "hidden": [8, 1025]}),
+        ([demod_stage()], {"kind": "dense", "features": {"type": "signature", "order": 9}}),
     ],
 )
 def test_descriptor_validation_rejects(stages, model):
@@ -146,8 +150,8 @@ def test_descriptor_rejects_bad_weighting_and_model():
 def test_apply_stages_demod_then_integrate_matches_manual(quiet_dataset):
     shot = quiet_dataset.shots[0]
     stages = [demod_stage(0.1), {"op": "integrate"}]
-    kind, arr, rate = apply_stages(shot.samples[None], shot.sample_rate, stages)
-    assert kind == "point"
+    arr = apply_stages(shot.samples[None], shot.sample_rate, stages)
+    assert arr.shape == (1, 2)
     arr = arr[0]
     from readoutkit import demodulate
 
@@ -163,19 +167,18 @@ def test_preprocess_batch_matches_per_shot(quiet_dataset):
         demod_stage(),
         {"op": "bin", "size": 5},
     ]
-    kind, arr, rate = preprocess_batch(shots, stages)
-    assert kind == "traj"
-    assert arr.shape[0] == 7
+    arr = preprocess_batch(shots, stages)
+    assert arr.shape == (7, len(shots[0].samples) // 5, 2)
     for k, shot in enumerate(shots):
-        _, single, _ = apply_stages(shot.samples[None], shot.sample_rate, stages)
+        single = apply_stages(shot.samples[None], shot.sample_rate, stages)
         assert np.allclose(arr[k], single[0], atol=1e-12)
 
 
 def test_preprocess_batch_chunking_invariant(quiet_dataset):
     shots = quiet_dataset.shots[:10]
     stages = [demod_stage(), {"op": "path_transform"}]
-    parts = [preprocess_batch(shots[s : s + 2], stages)[1] for s in range(0, len(shots), 2)]
-    _, whole, _ = preprocess_batch(shots, stages)
+    parts = [preprocess_batch(shots[s : s + 2], stages) for s in range(0, len(shots), 2)]
+    whole = preprocess_batch(shots, stages)
     assert np.array_equal(np.concatenate(parts), whole)
 
 
@@ -241,6 +244,28 @@ def test_pipeline_rejects_wrong_trace_length(quiet_dataset, decaying_dataset):
     bad = dataclasses.replace(short, samples=short.samples[:-10])
     with pytest.raises(IncompatibilityError):
         fitted.predict([bad])
+
+
+def test_pipeline_refuses_shots_at_another_sample_rate(tmp_path, quiet_dataset):
+    # the same 400 samples read at 1.0 /ns instead of 2.0 /ns are another
+    # trace: the stages would demodulate and filter them at the wrong rate
+    import dataclasses
+
+    fitted = train_pipeline(quiet_dataset, standard_pipelines()["gmm"])
+    fitted.save(tmp_path / "gmm.rkm")
+    slow = [dataclasses.replace(s, sample_rate=1.0) for s in quiet_dataset.shots[:6]]
+    for model in (fitted, TrainedPipeline.load(tmp_path / "gmm.rkm")):
+        with pytest.raises(IncompatibilityError, match="2.0 samples/ns, got 1.0"):
+            model.predict(slow)
+        assert model.sample_rate == 2.0
+        assert model.predict(quiet_dataset.shots[:6]).shape == (6,)
+
+
+def test_descriptor_size_caps_are_inclusive():
+    stages = [demod_stage(), {"op": "bin", "size": 4}]
+    normalize_descriptor({"stages": stages, "model": {"kind": "lstm", "hidden": [1024]}})
+    features = {"type": "signature", "order": 8}
+    normalize_descriptor({"stages": stages, "model": {"kind": "dense", "features": features}})
 
 
 def _mixed(shots, which):
@@ -350,8 +375,8 @@ def test_path_transform_stage_changes_features(quiet_dataset):
     shots = quiet_dataset.shots[:4]
     plain = [demod_stage(), {"op": "bin", "size": 10}]
     with_pt = plain + [{"op": "path_transform"}]
-    _, a, _ = preprocess_batch(shots, plain)
-    _, b, _ = preprocess_batch(shots, with_pt)
+    a = preprocess_batch(shots, plain)
+    b = preprocess_batch(shots, with_pt)
     assert a.shape == b.shape
     assert not np.allclose(a, b)
     # the transform with uniform weights subtracts the first column
