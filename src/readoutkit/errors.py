@@ -11,6 +11,8 @@ from collections.abc import Mapping
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 
 def is_finite_number(value) -> bool:
     """A real number that is finite as a float; bools are not numbers."""
@@ -77,11 +79,28 @@ NON_NEGATIVE = Field(lambda v: is_finite_number(v) and v >= 0, "a finite number 
 SEED = Field(lambda v: is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)")
 
 
+def _plain(value):
+    """``value`` with every numpy scalar in it, inside lists, tuples and
+    dicts too, turned into the Python ``int``, ``float`` or ``bool`` it
+    holds, so that JSON can write it."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, list):
+        return list(map(_plain, value))
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
 def check(mapping, table: dict, what: str, tag: str | None = None) -> dict:
     """``mapping`` as a new dict with the table's defaults filled in, or
     ``ConfigurationError`` unless it holds only the table's fields, every
-    required one among them, each passing its test.  With a ``tag``,
-    ``table`` maps each allowed value of ``mapping[tag]`` to its table."""
+    required one among them, each passing its test.  Numpy scalars in the
+    values become Python ones (see ``_plain``) before they are tested.
+    With a ``tag``, ``table`` maps each allowed value of ``mapping[tag]``
+    to its table."""
     if not isinstance(mapping, Mapping):
         raise ConfigurationError(f"{what} must be a mapping, not {type(mapping).__name__}")
     if tag is not None:
@@ -93,7 +112,7 @@ def check(mapping, table: dict, what: str, tag: str | None = None) -> dict:
     unknown = sorted(map(str, mapping.keys() - table.keys()))
     if unknown:
         raise ConfigurationError(f"{what} has unknown fields {unknown}; it takes {list(table)}")
-    d = dict(mapping)
+    d = {key: _plain(value) for key, value in mapping.items()}
     for key, field in table.items():
         if key not in d:
             if field.default is REQUIRED:

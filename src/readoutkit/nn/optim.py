@@ -36,7 +36,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check(vars(self), TRAIN_FIELDS, "train")
+        for key, value in check(vars(self), TRAIN_FIELDS, "train").items():
+            object.__setattr__(self, key, value)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -7,12 +7,17 @@ state's amplitude/phase target, an intermediate-frequency carrier, additive
 white Gaussian ADC noise, and optional phase diffusion.
 
 Every attempt owns an independent random stream derived from
-``(seed, attempt_id)``, and a retained shot keeps its attempt id as
-``shot_id``.  Within a stream the draw order is fixed: the state path, the
-herald bit, then (when enabled) the phase-noise steps and the ADC noise.
-Generation makes one pass over the attempts: each stream is seeded once,
-its path and herald bit are drawn, and a retained shot is rendered from the
-same stream, continuing after the herald draw, into its row of one
+``(seed, attempt_id)``: ``shot_rng``, numpy's ``default_rng([seed,
+attempt_id])``.  A retained shot keeps its attempt id as ``shot_id``.
+Within a stream the draw order is fixed: the state path, the herald bit,
+then (when enabled) the phase-noise steps and the ADC noise.  Generation
+makes one pass over the attempts.  The streams' PCG64 start states are
+derived ``_SEED_BLOCK`` attempts at a time in one vectorised pass, which
+re-implements numpy's seeding (``SeedSequence`` of NEP 19, then PCG64's
+two seeding steps) and equals ``shot_rng`` state for state; each is loaded
+in turn into one reused generator.  An attempt's path and herald bit are
+drawn, and a retained shot is rendered from the same stream, continuing
+after the herald draw, into its row of one
 ``(3 * shots_per_state, n_samples)`` float32 block.  The carrier (without
 phase noise), the state targets and the resonator ring-up from an empty
 cavity are tabulated once per call and sliced for each shot.  Path
@@ -21,10 +26,11 @@ regeneration replays the same scan and renders nothing, so the same
 
 A dataset of at least ``POOL_MIN_SAMPLES`` samples is rendered on every
 usable CPU (``os.sched_getaffinity``), with no option: this process scans
-the attempts and ships each retained shot's row, path and stream state, in
-tasks of ``_POOL_CHUNK`` shots, to worker processes forked from it (no more
-than there are tasks), which render into the block, an anonymous shared
-mapping made before the fork.  A stream continued from its shipped
+the attempts and ships each retained shot's row, path and post-herald
+PCG64 ``(state, inc)`` integers (with the generator's buffered-word fields),
+in tasks of ``_POOL_CHUNK`` shots, to worker processes forked from it (no
+more than there are tasks), which render into the block, an anonymous
+shared mapping made before the fork.  A stream continued from its shipped
 state draws what the live stream would, so the bytes do not depend on the
 worker count.  Smaller datasets (below that, the pool's start-up outweighs
 its gain), a single usable CPU, a platform without
@@ -34,6 +40,7 @@ children) render in this process from the scan's live streams.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -85,6 +92,15 @@ MAX_DATASET_BYTES = 4 << 30
 POOL_MIN_SAMPLES = 1 << 23
 # retained shots per task shipped to a render worker
 _POOL_CHUNK = 256
+# attempt ids whose streams the scan seeds in one pass
+_SEED_BLOCK = 1024
+# numpy's SeedSequence (NEP 19) and PCG64 seeding constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,8 @@ class SimConfig:
         return 1.0 / self.sample_rate
 
     def __post_init__(self):
-        check(vars(self), SIM_FIELDS, "config")
+        for key, value in check(vars(self), SIM_FIELDS, "config").items():
+            object.__setattr__(self, key, value)
         object.__setattr__(self, "t1", tuple(self.t1))
         object.__setattr__(self, "state_envelopes", tuple(map(tuple, self.state_envelopes)))
         if not math.isfinite(self.duration * self.sample_rate) or self.n_samples < 1:
@@ -229,6 +246,88 @@ def shot_format(shots: list[RawShot]) -> tuple[int, float]:
 def shot_rng(seed: int, shot_id: int) -> np.random.Generator:
     """Independent, reproducible stream for one shot."""
     return np.random.default_rng([seed, shot_id])
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words ``SeedSequence`` splits an entropy integer into,
+    least significant first (one word for 0)."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_block(seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """``_stream_states`` for ids that all take as many uint32 words as
+    ``start``: ``SeedSequence([seed, id])`` mixed over the block as uint32
+    arrays, then PCG64's seeding steps on Python ints."""
+    ids = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    entropy = [np.full(count, w, np.uint32) for w in _words(seed)]
+    entropy += [(ids >> np.uint64(32 * j)).astype(np.uint32) for j in range(len(_words(start)))]
+    # a seed and an id below 2**64 take at most the pool's four words
+    entropy += [np.zeros(count, np.uint32)] * (_POOL_SIZE - len(entropy))
+    shift = np.uint32(16)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> shift)
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    # generate_state(4, uint64): eight words from the cycled pool
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> shift)).astype(np.uint64))
+    # paired little-endian: the high and low halves of PCG64's seed, then
+    # of its stream selector
+    halves = [(words[k] | words[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
+    out = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        out.append((state, inc))
+    return out
+
+
+def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``shot_rng(seed, id)``, as it stands before
+    any draw, for each id in ``[start, start + count)``, within [0, 2**64).
+
+    The block is derived in one pass, cut where the ids' word count changes
+    (ids from 2**32 on take two words of entropy)."""
+    out = []
+    while count:
+        n = min(count, (1 << 32 * len(_words(start))) - start)
+        out += _stream_block(seed, start, n)
+        start, count = start + n, count - n
+    return out
+
+
+def _load(bit_generator, state: int, inc: int, has_uint32: int = 0, uinteger: int = 0) -> None:
+    """Set a PCG64 bit generator to the given stream position."""
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
 
 
 def _transition_rates(state: int, cfg: SimConfig) -> tuple[float, float]:
@@ -373,13 +472,20 @@ def synthesize_shot(
 
 def _scan(cfg: SimConfig, shots_per_state: int):
     """Yield ``(attempt_id, path, rng)`` for every retained shot, lazily and
-    in dataset order; ``rng`` is the attempt's stream, right after the
-    herald draw.
+    in dataset order; ``rng`` holds the attempt's stream, right after the
+    herald draw, until the next item is drawn.
 
     Scans attempt ids in order per state until enough heralded shots are
-    collected.  Only the current attempt's stream is held here, so a
-    consumer that keeps no ``rng`` keeps no generator per shot.
+    collected.  The streams' start states are derived ``_SEED_BLOCK`` ids
+    at a time, equal to ``shot_rng``'s, and loaded in turn into one
+    generator, so a consumer that keeps no ``rng`` keeps no generator per
+    shot.
     """
+    rng = np.random.Generator(np.random.PCG64(0))
+    starts = itertools.chain.from_iterable(
+        _stream_states(cfg.seed, first, _SEED_BLOCK)
+        for first in itertools.count(0, _SEED_BLOCK)
+    )
     attempt = 0
     for state in STATES:
         kept = 0
@@ -388,7 +494,7 @@ def _scan(cfg: SimConfig, shots_per_state: int):
         while kept < shots_per_state:
             if attempt >= limit:
                 raise DataError("herald rejection rate too high to fill the dataset")
-            rng = shot_rng(cfg.seed, attempt)
+            _load(rng.bit_generator, *next(starts))
             path = sample_state_path(state, cfg, rng)
             if rng.random() >= cfg.herald_error:
                 yield attempt, path, rng
@@ -420,10 +526,11 @@ def _start_worker(render: _Renderer, block: np.ndarray) -> None:
 
 
 def _render_rows(tasks) -> None:
-    """Render each ``(row, path, stream state)`` into its row of the block."""
+    """Render each ``(row, path, stream)`` into its row of the block, where
+    ``stream`` holds the arguments of ``_load``."""
     render, block, rng = _worker
-    for row, path, state in tasks:
-        rng.bit_generator.state = state
+    for row, path, stream in tasks:
+        _load(rng.bit_generator, *stream)
         block[row] = render.samples(path, rng)
 
 
@@ -447,7 +554,9 @@ def _render_pooled(render: _Renderer, block: np.ndarray, scan, workers: int) -> 
     try:
         for row, (attempt, path, rng) in enumerate(scan):
             kept.append((attempt, path))
-            tasks.append((row, path, rng.bit_generator.state))
+            st = rng.bit_generator.state
+            stream = st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"]
+            tasks.append((row, path, stream))
             if len(tasks) == _POOL_CHUNK:
                 futures.append(pool.submit(_render_rows, tasks))
                 tasks = []

@@ -54,7 +54,10 @@ def pytest_report_header(config):
     features), and the thread-count variables (a06 trains at the default
     count); and the size of the package, as newlines in its sources under
     ``src/``."""
-    numpy_config = np.show_config(mode="dicts")
+    try:
+        numpy_config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 takes no mode
+        numpy_config = {}
     blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
     simd = numpy_config.get("SIMD Extensions", {})
     threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}

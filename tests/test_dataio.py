@@ -159,6 +159,23 @@ def test_sidecar_contains_config_and_hash(tmp_path, quiet_dataset):
     assert meta["config_sha256"] == config_hash(quiet_dataset.config.to_dict())
 
 
+def test_config_with_numpy_scalars_saves_as_plain_values(tmp_path):
+    # a config built from numpy scalars holds the Python values, so its
+    # dataset saves, and the files equal those of the plain config's
+    plain = SimConfig(duration=100.0, t1=(900.0, None), noise_sigma=2.0, seed=3)
+    cfg = SimConfig(
+        duration=np.float32(100.0),
+        t1=(np.float64(900.0), None),
+        noise_sigma=np.float32(2.0),
+        seed=np.int64(3),
+    )
+    for name, config in (("numpy", cfg), ("plain", plain)):
+        save_dataset(generate_dataset(config, 2), tmp_path / f"{name}.rkd")
+    for suffix in (".rkd", ".rkd.json"):
+        assert (tmp_path / f"numpy{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+    assert cfg == plain and type(cfg.seed) is int and type(cfg.duration) is float
+
+
 def test_load_without_sidecar_still_works(tmp_path, quiet_dataset):
     path = tmp_path / "shots.rkd"
     save_dataset(quiet_dataset, path)

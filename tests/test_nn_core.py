@@ -379,3 +379,9 @@ def test_train_config_validation():
         TrainConfig(decay_gamma=1.5)
     with pytest.raises(ConfigurationError):
         TrainConfig(decay_every=0)
+
+
+def test_train_config_holds_numpy_scalars_as_python_values():
+    cfg = TrainConfig(epochs=np.int64(3), learning_rate=np.float32(0.5), shuffle=np.bool_(False))
+    assert cfg == TrainConfig(epochs=3, learning_rate=0.5, shuffle=False)
+    assert [type(v) for v in (cfg.epochs, cfg.learning_rate, cfg.shuffle)] == [int, float, bool]

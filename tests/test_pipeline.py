@@ -235,6 +235,20 @@ def test_pipeline_save_load_roundtrip(tmp_path, quiet_dataset):
         assert np.allclose(proba_a, proba_b, atol=1e-12)
 
 
+def test_descriptor_with_numpy_scalars_saves_as_plain_values(tmp_path, quiet_dataset):
+    # numpy sizes in a descriptor (and its train block) normalize to Python
+    # values, so the model saves, with the plain descriptor's bytes
+    files = {}
+    for name, size, epochs in (("numpy", np.int64(40), np.int64(1)), ("plain", 40, 1)):
+        desc = standard_pipelines(bin_size=size)["lstm"]
+        desc["train"] = {"epochs": epochs, "seed": 0}
+        path = tmp_path / f"{name}.rkm"
+        train_pipeline(quiet_dataset, desc).save(path)
+        files[name] = path.read_bytes(), (tmp_path / f"{name}.rkm.json").read_bytes()
+    assert files["numpy"] == files["plain"]
+    assert TrainedPipeline.load(tmp_path / "numpy.rkm").descriptor["stages"][1]["size"] == 40
+
+
 def test_pipeline_rejects_wrong_trace_length(quiet_dataset, decaying_dataset):
     desc = standard_pipelines()["gmm"]
     fitted = train_pipeline(quiet_dataset, desc)
