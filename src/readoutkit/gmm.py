@@ -3,7 +3,8 @@
 One full-covariance Gaussian is fit per class by maximum likelihood on
 labeled data (a supervised mixture: no EM needed).  Posteriors are computed
 in log space through Cholesky factors, so widely separated clusters do not
-underflow.
+underflow, and by forward substitution elementwise over the points, so a
+point's posteriors have the same bytes alone or in any batch.
 """
 
 from __future__ import annotations
@@ -79,9 +80,15 @@ class GmmClassifier:
             )
         out = np.empty((X.shape[0], self.n_classes))
         for c in range(self.n_classes):
-            diff = X - self.means[c]
-            sol = np.linalg.solve(self._chols[c], diff.T)
-            maha = np.sum(sol * sol, axis=0)
+            # solve L z = x - mean by forward substitution, in place
+            z = (X - self.means[c]).T
+            L = self._chols[c]
+            maha = np.zeros(X.shape[0])
+            for r in range(self.dim):
+                for j in range(r):
+                    z[r] -= L[r, j] * z[j]
+                z[r] /= L[r, r]
+                maha += z[r] * z[r]
             out[:, c] = self._log_norms[c] - 0.5 * maha + np.log(self.priors[c])
         return out
 

@@ -6,7 +6,9 @@ d dimensions.  A linear segment's signature is the truncated tensor
 exponential of its displacement, and a path's signature is the
 tensor-algebra (Chen) product of its segments'.  :func:`batch_signature`
 fuses each step's exponential and product into one Horner update, the
-multiply-exponentiate of Kidger & Lyons, *Signatory* (ICLR 2021).
+multiply-exponentiate of Kidger & Lyons, *Signatory* (ICLR 2021), and
+keeps the batch on the innermost axis of every level, so each of a step's
+elementwise calls is one contiguous pass over all paths.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ def signature_length(dim: int, order: int) -> int:
     return (dim ** (order + 1) - 1) // (dim - 1)
 
 
+def _split_levels(flat: np.ndarray, dim: int, order: int) -> list[np.ndarray]:
+    """Views of levels 0..order, which lie one after another along the
+    first axis of ``flat``."""
+    ends = np.cumsum([dim**k for k in range(order + 1)])
+    return np.split(flat, ends[:-1])
+
+
 @dataclass
 class SignatureVector:
     """Truncated signature as per-level tensors.
@@ -77,8 +86,7 @@ def signature(points: np.ndarray, order: int) -> SignatureVector:
         raise ConfigurationError("signature expects an (n, dim) point array")
     dim = pts.shape[1]
     flat = batch_signature(pts[None], order)[0]
-    ends = np.cumsum([dim**k for k in range(order + 1)])
-    levels = [lvl.reshape((dim,) * k) for k, lvl in enumerate(np.split(flat, ends[:-1]))]
+    levels = [lvl.reshape((dim,) * k) for k, lvl in enumerate(_split_levels(flat, dim, order))]
     return SignatureVector(levels)
 
 
@@ -90,10 +98,16 @@ def trajectory_signature(traj_array: np.ndarray, order: int = 5) -> np.ndarray:
 def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
     """Flattened signatures of many paths at once.
 
-    ``paths`` is (batch, n, dim) with n >= 1; the result is
-    (batch, signature_length).  Level k is kept as a flat dim**k vector
-    per path, the C-order flattening of the tensor, so a tensor product
-    is a broadcast outer product.
+    ``paths`` is (batch, n, dim) with n >= 1; the result is a C-contiguous
+    (batch, signature_length) array.  Inside, the batch is the last axis:
+    the levels are consecutive row blocks of one (signature_length, batch)
+    array, level k a (dim**k, batch) block whose rows follow the C-order
+    flattening of the tensor, and each step's increment is (dim, batch).
+    A tensor product is then an outer product over the first axis whose
+    innermost loop runs over the whole batch, so every elementwise call in
+    a step is one contiguous pass over the paths rather than many passes
+    of length dim.  The points are read through a transposed view, and
+    the result is transposed once on exit.
 
     Appending a step with displacement ``d`` multiplies the signature by
     the segment's tensor exponential ``sum_j d^(tensor j) / j!``.  Level k
@@ -103,8 +117,8 @@ def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
 
         B = d/k;  for i in 1..k-1:  B = (B + S_i) (x) d/(k-i);  S_k += B
 
-    Each path's row is computed elementwise, without BLAS, so it has the
-    same bytes alone or in any batch.  Order <= 1 gives the bytes of a
+    Each path's entries are computed elementwise, without BLAS, so its
+    signature has the same bytes alone or in any batch.  Order <= 1 gives the bytes of a
     separate exponential and Chen product; above that the rounding
     differs, and level k stays within ``k (n-1) eps L^k / k!`` of it, where
     ``L`` is the path's 1-norm length and ``L^k / k!`` bounds the level.
@@ -114,13 +128,16 @@ def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
         raise ConfigurationError("batch_signature expects (batch, n, dim) with n >= 1")
     _check_order(order)
     nb, n, dim = pts.shape
+    pts = pts.transpose(1, 2, 0)  # (n, dim, batch), a view
 
-    sig = [np.ones((nb, 1))] + [np.zeros((nb, dim**k)) for k in range(1, order + 1)]
-    buf = [None] + [np.empty((nb, dim**k)) for k in range(1, order + 1)]
-    delta = np.empty((nb, dim))
-    scaled = [None] + [np.empty((nb, dim)) for _ in range(order)]  # delta / j
+    flat = np.zeros((signature_length(dim, order), nb))
+    flat[0] = 1.0
+    sig = _split_levels(flat, dim, order)
+    buf = [None] + [np.empty((dim**k, nb)) for k in range(1, order + 1)]
+    delta = np.empty((dim, nb))
+    scaled = [None] + [np.empty((dim, nb)) for _ in range(order)]  # delta / j
     for step in range(1, n):
-        np.subtract(pts[:, step], pts[:, step - 1], out=delta)
+        np.subtract(pts[step], pts[step - 1], out=delta)
         for j in range(1, order + 1):
             np.divide(delta, j, out=scaled[j])
         for k in range(order, 0, -1):
@@ -128,7 +145,7 @@ def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
             for i in range(1, k):
                 np.add(b, sig[i], out=buf[i])
                 b = buf[i + 1]
-                outer = b.reshape(nb, dim**i, dim)
-                np.multiply(buf[i][:, :, None], scaled[k - i][:, None, :], out=outer)
+                outer = b.reshape(dim**i, dim, nb)
+                np.multiply(buf[i][:, None, :], scaled[k - i][None, :, :], out=outer)
             sig[k] += b
-    return np.concatenate(sig, axis=1)
+    return np.ascontiguousarray(flat.T)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from readoutkit import GmmClassifier
+from readoutkit import GmmClassifier, generate_dataset, standard_pipelines, train_pipeline
 from readoutkit.errors import ConfigurationError, DataError, IncompatibilityError
 
 
@@ -146,3 +148,19 @@ def test_posteriors_need_a_points_matrix(rng):
         with pytest.raises(ConfigurationError, match=r"\(n, dim\)"):
             model.predict(points)
     assert model.predict(X[:1]).shape == (1,)
+
+
+def test_pipeline_probabilities_do_not_depend_on_the_batch(decaying_dataset, decaying_config):
+    # a shot's probabilities have the same bytes alone and in calls of 7,
+    # 256 and 600 shots
+    pipe = train_pipeline(decaying_dataset, standard_pipelines()["gmm"])
+    shots = list(generate_dataset(replace(decaying_config, seed=29), shots_per_state=200))
+    assert len(shots) == 600
+    full = pipe.predict_proba(shots)
+    for size in (7, 256):
+        blocks = np.concatenate(
+            [pipe.predict_proba(shots[i : i + size]) for i in range(0, 600, size)]
+        )
+        assert blocks.tobytes() == full.tobytes()
+    for k, shot in enumerate(shots):
+        assert pipe.predict_proba([shot]).tobytes() == full[k].tobytes()

@@ -43,6 +43,31 @@ def _per_path_signature(points, order):
     return sig
 
 
+def _batch_major_signature(paths, order):
+    """The Horner recurrence with the batch on the first axis, level k a
+    (batch, dim**k) array: the same operations per entry as
+    ``batch_signature`` in another memory layout, so a byte oracle."""
+    pts = np.asarray(paths, dtype=float)
+    nb, n, dim = pts.shape
+    sig = [np.ones((nb, 1))] + [np.zeros((nb, dim**k)) for k in range(1, order + 1)]
+    buf = [None] + [np.empty((nb, dim**k)) for k in range(1, order + 1)]
+    delta = np.empty((nb, dim))
+    scaled = [None] + [np.empty((nb, dim)) for _ in range(order)]
+    for step in range(1, n):
+        np.subtract(pts[:, step], pts[:, step - 1], out=delta)
+        for j in range(1, order + 1):
+            np.divide(delta, j, out=scaled[j])
+        for k in range(order, 0, -1):
+            b = scaled[k]
+            for i in range(1, k):
+                np.add(b, sig[i], out=buf[i])
+                b = buf[i + 1]
+                outer = b.reshape(nb, dim**i, dim)
+                np.multiply(buf[i][:, :, None], scaled[k - i][:, None, :], out=outer)
+            sig[k] += b
+    return np.concatenate(sig, axis=1)
+
+
 def _level_bound(points, k):
     """Rounding bound ``k (n-1) eps L^k / k!`` on level k, where ``L`` is the
     path's 1-norm length and ``L^k / k!`` bounds the level's entries."""
@@ -192,6 +217,21 @@ def test_batch_signature_matches_per_path(rng):
     for k in range(600):
         alone = signature(paths[k], 5).flatten()
         assert alone.tobytes() == batch[k].tobytes() == sevens[k].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 8])
+def test_batch_signature_matches_batch_major_layout(n, dim, order):
+    # keeping the batch on the innermost axis changes the memory layout,
+    # not a single byte of the result
+    rng = np.random.default_rng(1000 * n + 10 * dim + order)
+    for nb in (0, 1, 7, 600):
+        paths = rng.normal(size=(nb, n, dim)).cumsum(axis=1)
+        got = batch_signature(paths, order)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (nb, signature_length(dim, order))
+        assert got.tobytes() == _batch_major_signature(paths, order).tobytes()
 
 
 def test_batch_signature_handles_stationary_steps(rng):
