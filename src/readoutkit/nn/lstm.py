@@ -66,14 +66,6 @@ models on float32 input; prediction casts its input to float64, so
 predictions, margins and a loaded model's outputs do not depend on how
 the model was trained.  The halving argument above holds in float32 too,
 and float32 results are bit-identical to the per-gate form in float32.
-
-Against the earlier row-major layout (states (T, N, hidden), gates
-(T, N, 4*hidden), ``h_t @ Wh`` plus a separate input projection and bias,
-and flat ``T * N`` gradient products) the results agree to rounding, not
-bit for bit: the stacked dot product sums its terms in another order, a
-transposed product may take another BLAS kernel path, and the gradient
-sums run in another order.  Logits and gradients differ by a few 1e-15
-relative.
 """
 
 from __future__ import annotations

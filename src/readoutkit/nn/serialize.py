@@ -35,18 +35,21 @@ _HEAD = struct.Struct("<12sII")
 
 # the fields of an architecture block, by model kind; a pipeline
 # descriptor's model table takes its hidden, output and output_bias entries
-# from here, with defaults for hidden; a layer is at most MAX_WIDTH wide, so
-# neither a descriptor nor a model file can ask for gigabytes of weights
-MAX_WIDTH = 1024
+# from here, with defaults for hidden; a network has at most MAX_DEPTH
+# hidden layers of at most MAX_WIDTH units, so neither a descriptor nor a
+# model file can ask for gigabytes of weights
+MAX_WIDTH, MAX_DEPTH = 1024, 8
 _DIM = SIZE._replace(default=REQUIRED)
 HIDDEN = Field(
-    lambda v: isinstance(v, list) and all(is_size(h) and h <= MAX_WIDTH for h in v),
-    f"a list of integer widths in [1, {MAX_WIDTH}]",
+    lambda v: isinstance(v, list)
+    and len(v) <= MAX_DEPTH
+    and all(is_size(h) and h <= MAX_WIDTH for h in v),
+    f"a list of at most {MAX_DEPTH} integer widths in [1, {MAX_WIDTH}]",
     REQUIRED,
 )
 LSTM_HIDDEN = Field(
     lambda v: HIDDEN.test(v) and len(v) > 0,
-    f"a non-empty list of integer widths in [1, {MAX_WIDTH}]",
+    f"a non-empty list of at most {MAX_DEPTH} integer widths in [1, {MAX_WIDTH}]",
     REQUIRED,
 )
 OUTPUT = Field(lambda v: v in OUTPUTS, f"one of {OUTPUTS}", "softmax")

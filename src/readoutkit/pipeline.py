@@ -253,13 +253,19 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
 
     Returns the same array as :func:`apply_stages`, the batch axis first.
     Chunking bounds peak memory; results are identical to one big call
-    because every stage is per-trace.  The shots must share length and rate
-    and have only finite samples (``DataError`` naming the first bad shot
-    otherwise).
+    because every stage is per-trace.  This is where training and
+    prediction check their shots, before the stages run on them:
+
+    - the list is not empty (``ConfigurationError``);
+    - the shots share length and rate (``DataError``, from :func:`shot_format`);
+    - they have samples (``DataError``);
+    - every sample is finite (``DataError`` naming the first bad shot).
     """
     if not shots:
         raise ConfigurationError("no shots to preprocess")
-    _, rate = shot_format(shots)
+    n, rate = shot_format(shots)
+    if n == 0:
+        raise DataError("the shots have no samples")
     blocks = []
     for start in range(0, len(shots), CHUNK):
         block = np.stack([s.samples for s in shots[start : start + CHUNK]])
@@ -307,21 +313,19 @@ class TrainedPipeline:
     def name(self) -> str:
         return self.descriptor.get("name", "pipeline")
 
-    def _check_shots(self, shots: list[RawShot]) -> None:
-        if not shots:
-            raise ConfigurationError("no shots to classify")
-        n, rate = len(shots[0].samples), shots[0].sample_rate
-        if n != self.input_length:
-            raise IncompatibilityError(
-                f"pipeline was trained on {self.input_length}-sample shots, got {n}"
-            )
-        if rate != self.sample_rate:
-            raise IncompatibilityError(
-                f"pipeline was trained on shots at {self.sample_rate} samples/ns, got {rate}"
-            )
-
     def _inputs(self, shots: list[RawShot]) -> np.ndarray:
-        self._check_shots(shots)
+        # preprocess_batch checks the batch; this checks its format against
+        # the one the model was trained on
+        if shots:
+            n, rate = len(shots[0].samples), shots[0].sample_rate
+            if n != self.input_length:
+                raise IncompatibilityError(
+                    f"pipeline was trained on {self.input_length}-sample shots, got {n}"
+                )
+            if rate != self.sample_rate:
+                raise IncompatibilityError(
+                    f"pipeline was trained on shots at {self.sample_rate} samples/ns, got {rate}"
+                )
         return _model_inputs(self.descriptor, preprocess_batch(shots, self.descriptor["stages"]))
 
     def predict(self, shots: list[RawShot]) -> np.ndarray:
@@ -380,18 +384,13 @@ def train_pipeline(
     input against float64 weights (see ``nn.lstm``).  The
     ``gmm_confidence`` weighting fits a reference Gaussian model on plain
     integrated points and weighs each sample by the posterior it assigns to
-    the sample's own label.
+    the sample's own label.  :func:`preprocess_batch` checks the shots.
     """
     shots = list(dataset)
-    if not shots:
-        raise ConfigurationError("cannot train a pipeline on zero shots")
     desc = normalize_descriptor(descriptor)
-    labels = np.array([s.label for s in shots], dtype=int)
-    input_length, sample_rate = shot_format(shots)
-    if input_length == 0:
-        raise DataError("cannot train a pipeline on shots with no samples")
-
     X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]), lstm_dtype=np.float32)
+    input_length, sample_rate = shot_format(shots)
+    labels = np.array([s.label for s in shots], dtype=int)
 
     if desc["model"]["kind"] == "gmm":
         return TrainedPipeline(desc, GmmClassifier.fit(X, labels), input_length, sample_rate)

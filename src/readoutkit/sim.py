@@ -118,10 +118,6 @@ class StatePath:
         return self.segments[0][0]
 
     @property
-    def duration(self) -> float:
-        return self.segments[-1][2]
-
-    @property
     def has_transition(self) -> bool:
         return len(self.segments) > 1
 

@@ -325,13 +325,16 @@ def test_corrupt_model_file_exits_4(workdir, capsys, corrupt):
         pytest.param({"output_bias": {"a": 1}}, id="output-bias-object"),
         pytest.param({"dropout": 0.5}, id="unknown-key"),
         pytest.param({"hidden": [1025]}, id="hidden-past-1024"),
+        pytest.param({"hidden": [4] * 9}, id="hidden-past-8-layers"),
     ],
 )
 def test_model_architecture_with_a_bad_or_unknown_field_exits_4(workdir, capsys, edit):
     # the file holds the parameter count the sizes declare (with an output
-    # bias where the value is truthy), so only the field itself can refuse it
+    # bias where the value is truthy, and a width past the cap counted as
+    # 4), so only the field itself can refuse it
     arch = {**LSTM_ARCH, **edit}
-    count = lstm_param_count(2, [4], 3, bool(arch.get("output_bias")))
+    hidden = [min(h, 4) for h in arch["hidden"]]
+    count = lstm_param_count(2, hidden, 3, bool(arch.get("output_bias")))
     data = simulate(workdir)
     model = workdir / "gmm.rkm"
     assert main(["train", "--data", str(data), "--pipeline", "gmm", "--out", str(model)]) == 0
@@ -445,6 +448,9 @@ def test_evaluate_refuses_data_at_another_sample_rate_exits_2(workdir, capsys):
         pytest.param(
             {"kind": "dense", "features": {"type": "signature", "order": 9}}, id="signature-order"
         ),
+        # the depth is capped too: 1000 layers of 1024 units is 62.5 GiB
+        pytest.param({"kind": "lstm", "hidden": [2] * 9}, id="lstm-depth"),
+        pytest.param({"kind": "dense", "hidden": [2] * 9}, id="dense-depth"),
     ],
 )
 def test_train_refuses_descriptor_sizes_past_their_caps_exits_2(workdir, capsys, model):
@@ -552,8 +558,17 @@ def test_evaluate_refuses_non_finite_shots(workdir, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pipeline", ["gmm", "bandpass_lstm"])
-def test_training_on_shots_without_samples_exits_2(workdir, capsys, pipeline):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param(["train", "--pipeline", "gmm"], id="gmm"),
+        pytest.param(["train", "--pipeline", "bandpass_lstm"], id="bandpass_lstm"),
+        # the scatter averages each shot's samples: no samples, no point
+        pytest.param(["export", "--format", "svg"], id="export-svg"),
+    ],
+)
+def test_training_on_shots_without_samples_exits_2(workdir, capsys, command):
     shots = [
         RawShot(samples=np.zeros(0, dtype=np.float32), label=k % 3, herald_pass=True,
                 true_path=None, shot_id=k, sample_rate=2.0)
@@ -561,11 +576,10 @@ def test_training_on_shots_without_samples_exits_2(workdir, capsys, pipeline):
     ]
     empty = workdir / "empty.rkd"
     save_dataset(Dataset(shots=shots, config=None), empty)
-    model = workdir / "never.rkm"
-    rc = main(["train", "--data", str(empty), "--pipeline", pipeline, "--out", str(model)])
-    assert rc == 2
+    out = workdir / "never.out"
+    assert main(command + ["--data", str(empty), "--out", str(out)]) == 2
     assert "no samples" in capsys.readouterr().err
-    assert not model.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pipeline", ["gmm", "bandpass_lstm", "pipeline.json"])

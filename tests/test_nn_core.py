@@ -99,6 +99,8 @@ def test_dense_from_arch_round_trip(rng):
         assert np.array_equal(p, q)
     x = rng.normal(size=(7, 5))
     assert np.array_equal(rebuilt.forward(x)[0], net.forward(x)[0])
+    # a sigmoid output's probabilities are per-class sigmoids of the logits
+    assert np.array_equal(net.predict_proba(x), sigmoid(net.predict_logits(x)))
 
 
 @pytest.mark.parametrize("kind", ["dense", "lstm"])
@@ -346,6 +348,12 @@ def test_training_is_deterministic(rng):
         train(model, X, y, config=TrainConfig(epochs=5, batch_size=8, seed=3))
         outs.append(np.concatenate([p.reshape(-1) for p in model.param_arrays()]))
     assert np.array_equal(outs[0], outs[1])
+    # without shuffling, every epoch's batches are the rows in order
+    model = DenseNetwork(4, (5,), 3, seed=7)
+    batches, forward = [], model.forward
+    model.forward = lambda xb: (batches.append(xb), forward(xb))[1]
+    train(model, X, y, config=TrainConfig(epochs=2, batch_size=8, shuffle=False))
+    assert np.array_equal(np.concatenate(batches), np.concatenate([X, X]))
 
 
 def test_training_weights_shift_decisions(rng):

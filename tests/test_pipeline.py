@@ -86,6 +86,9 @@ def test_normalize_does_not_mutate_input():
         ([demod_stage()], {"kind": "lstm", "hidden": [1025]}),
         ([demod_stage()], {"kind": "dense", "hidden": [8, 1025]}),
         ([demod_stage()], {"kind": "dense", "features": {"type": "signature", "order": 9}}),
+        # more than 8 hidden layers
+        ([demod_stage()], {"kind": "lstm", "hidden": [2] * 9}),
+        ([demod_stage()], {"kind": "dense", "hidden": [2] * 9}),
     ],
 )
 def test_descriptor_validation_rejects(stages, model):
@@ -189,6 +192,8 @@ def test_train_gmm_pipeline_and_predict(quiet_dataset):
     preds = fitted.predict(quiet_dataset.shots)
     labels = quiet_dataset.labels
     assert np.mean(preds == labels) > 0.99
+    with pytest.raises(ConfigurationError, match="no shots"):
+        fitted.predict([])
 
 
 def test_train_lstm_pipeline_runs(quiet_dataset):
@@ -278,6 +283,8 @@ def test_pipeline_refuses_shots_at_another_sample_rate(tmp_path, quiet_dataset):
 def test_descriptor_size_caps_are_inclusive():
     stages = [demod_stage(), {"op": "bin", "size": 4}]
     normalize_descriptor({"stages": stages, "model": {"kind": "lstm", "hidden": [1024]}})
+    normalize_descriptor({"stages": stages, "model": {"kind": "lstm", "hidden": [2] * 8}})
+    normalize_descriptor({"stages": stages, "model": {"kind": "dense", "hidden": [2] * 8}})
     features = {"type": "signature", "order": 8}
     normalize_descriptor({"stages": stages, "model": {"kind": "dense", "features": features}})
 
@@ -374,15 +381,23 @@ def test_train_pipeline_rejects_empty():
         train_pipeline([], standard_pipelines()["gmm"])
 
 
-@pytest.mark.parametrize("name", ["gmm", "lstm", "signature_dense"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["gmm", "lstm", "signature_dense", "bandpass_lstm"])
 def test_train_pipeline_rejects_shots_without_samples(quiet_dataset, name):
+    # refused before any stage runs: the integrate stage would average no
+    # samples into NaN, and a leading bandpass would ask for rfftfreq(0)
     shots = [
         RawShot(samples=np.zeros(0, dtype=np.float32), label=s.label, herald_pass=True,
                 true_path=None, shot_id=k, sample_rate=2.0)
         for k, s in enumerate(quiet_dataset.shots[:30])
     ]
+    desc = standard_pipelines()[name]
     with pytest.raises(DataError, match="no samples"):
-        train_pipeline(shots, standard_pipelines()[name])
+        train_pipeline(shots, desc)
+    with pytest.raises(DataError, match="no samples"):
+        preprocess_batch(shots, desc["stages"])
+    with pytest.raises(DataError, match="no samples"):
+        integrated_points(shots, frequency=0.1)
 
 
 def test_path_transform_stage_changes_features(quiet_dataset):
