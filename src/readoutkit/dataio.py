@@ -175,6 +175,8 @@ def export_csv(dataset: Dataset, path: str | Path) -> int:
     if not shots:
         raise DataError("no shots to export")
     n, _ = shot_format(shots)
+    if n == 0:
+        raise DataError("the shots have no samples")
     header = "shot_id,label,herald," + ",".join(f"s{i}" for i in range(n))
     with open(path, "w") as f:
         f.write(header + "\n")

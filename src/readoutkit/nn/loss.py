@@ -1,5 +1,5 @@
-"""Per-sample weighted classification losses and their logit gradients, and
-the prediction path the networks share.
+"""Per-sample weighted classification losses and their logit gradients, the
+prediction path the networks share, and the shot block of all batch work.
 
 Both losses normalize by the total sample weight, so duplicating a sample is
 exactly equivalent to doubling its weight, and a zero total weight yields
@@ -16,9 +16,14 @@ from .activations import log_softmax, sigmoid, softmax
 # the output squashings a network can declare: softmax over exclusive
 # classes, or an independent sigmoid per class
 OUTPUTS = ("softmax", "sigmoid")
-# shots per forward pass when predicting; a block's caches are what
-# prediction holds at once
-PREDICT_BLOCK = 512
+# shots per block of all batch work (front end, prediction, every lstm
+# product over the batch); ``nn/lstm.py`` says why the block is fixed
+BATCH_BLOCK = 256
+
+
+def batch_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``BATCH_BLOCK`` covering ``range(n)``."""
+    return [slice(s, s + BATCH_BLOCK) for s in range(0, n, BATCH_BLOCK)]
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -78,8 +83,8 @@ class Classifier:
     """What both networks share: building from an architecture block, the
     parameter count, and prediction for a network with ``forward``,
     ``batch_axis`` and ``output``: logits from ``forward`` run over views of
-    at most ``PREDICT_BLOCK`` shots along the batch axis, so memory does not
-    grow with the number of shots."""
+    at most ``BATCH_BLOCK`` shots along the batch axis, one lstm column block
+    each, so memory does not grow with the number of shots."""
 
     @classmethod
     def from_arch(cls, arch: dict, seed: int = 0):
@@ -94,7 +99,7 @@ class Classifier:
         x = np.asarray(x, dtype=float)
         if x.ndim <= self.batch_axis:
             return self.forward(x)[0]  # which refuses the shape
-        cuts = range(PREDICT_BLOCK, x.shape[self.batch_axis], PREDICT_BLOCK)
+        cuts = range(BATCH_BLOCK, x.shape[self.batch_axis], BATCH_BLOCK)
         return np.concatenate([self.forward(b)[0] for b in np.split(x, cuts, self.batch_axis)])
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from the same stacked product, except where a halved value would fall into
 the subnormal range.
 
 Every product over the batch runs over fixed column blocks of
-``BATCH_BLOCK`` shots, in block order: the gate products, the recurrent and
+``loss.BATCH_BLOCK`` shots, in block order: the gate products, the recurrent and
 input gradients, the readout, and the weight gradients.  Per step the
 backward adds ``ops[t, :hidden] @ dz_t.T`` to ``dWh`` and one product over
 the rows ``[x_t; 1]`` to ``dWx`` and ``db`` together, block by block, from
@@ -73,17 +73,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .loss import OUTPUTS, Classifier
-
-
-# shots per column block of every product over the batch; the module
-# docstring says why the block is fixed
-BATCH_BLOCK = 256
-
-
-def batch_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``BATCH_BLOCK`` covering ``range(n)``."""
-    return [slice(s, s + BATCH_BLOCK) for s in range(0, n, BATCH_BLOCK)]
+from .loss import OUTPUTS, Classifier, batch_blocks
 
 
 def lstm_param_count(
@@ -309,7 +299,8 @@ class LstmNetwork(Classifier):
         W_out = self.W_out.astype(x.dtype, copy=False)
         logits = np.empty((x.shape[1], self.output_dim), dtype=x.dtype)
         for s in batch_blocks(x.shape[1]):
-            np.matmul(h_final[:, s].T, W_out, out=logits[s])
+            # compact, like a forward of this block alone: a strided 1-shot column rounds otherwise
+            np.matmul(np.ascontiguousarray(h_final[:, s]).T, W_out, out=logits[s])
         if self.b_out is not None:
             logits += self.b_out.astype(x.dtype, copy=False)
         return logits, (caches, h_final, x.shape)

@@ -54,6 +54,7 @@ from .errors import NON_NEGATIVE, POSITIVE, REQUIRED, SIZE, ConfigurationError, 
 from .errors import Field, FileFormatError, IncompatibilityError, check, is_finite_number, is_size
 from .gmm import GmmClassifier
 from .nn.dense import DenseNetwork
+from .nn.loss import batch_blocks
 from .nn.lstm import LstmNetwork
 from .nn.optim import TrainConfig
 from .nn.serialize import HIDDEN, LSTM_HIDDEN, OUTPUT, OUTPUT_BIAS, load_model, save_model
@@ -110,7 +111,6 @@ WEIGHTING_FIELDS = {
         "floor": Field(lambda v: is_finite_number(v) and 0 <= v <= 1, "a number in [0, 1]", 0.0)
     },
 }
-CHUNK = 512
 # the bin-domain front end: at most this many multiply-adds per raw sample
 # (it costs as much as the per-sample chain at about 10 on 2000-sample
 # traces and 6 on 400-sample ones; the stock pipelines need 1)
@@ -249,10 +249,11 @@ def _fold(x: np.ndarray, bins: np.ndarray, response: np.ndarray) -> np.ndarray:
 
 
 def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
-    """Stage application over many shots, ``CHUNK`` shots at a time.
+    """Stage application over many shots, ``BATCH_BLOCK`` shots at a time,
+    each block written into one preallocated output.
 
     Returns the same array as :func:`apply_stages`, the batch axis first.
-    Chunking bounds peak memory; results are identical to one big call
+    Blocking bounds peak memory; results are identical to one big call
     because every stage is per-trace.  This is where training and
     prediction check their shots, before the stages run on them:
 
@@ -266,17 +267,20 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
     n, rate = shot_format(shots)
     if n == 0:
         raise DataError("the shots have no samples")
-    blocks = []
-    for start in range(0, len(shots), CHUNK):
-        block = np.stack([s.samples for s in shots[start : start + CHUNK]])
+    out = None
+    for s in batch_blocks(len(shots)):
+        block = np.stack([shot.samples for shot in shots[s]])
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            k = start + int(np.argmin(finite))
+            k = s.start + int(np.argmin(finite))
             raise DataError(f"shot {k} (shot_id {shots[k].shot_id}) has non-finite samples")
         # rebinding frees the float32 stack before the stages run
         block = block.astype(float)
-        blocks.append(apply_stages(block, rate, stages))
-    return np.concatenate(blocks, axis=0)
+        block = apply_stages(block, rate, stages)
+        if out is None:
+            out = np.empty((len(shots),) + block.shape[1:], dtype=block.dtype)
+        out[s] = block
+    return out
 
 
 def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:

@@ -566,6 +566,8 @@ def test_evaluate_refuses_non_finite_shots(workdir, capsys):
         pytest.param(["train", "--pipeline", "bandpass_lstm"], id="bandpass_lstm"),
         # the scatter averages each shot's samples: no samples, no point
         pytest.param(["export", "--format", "svg"], id="export-svg"),
+        # a row per shot with no sample columns is no export
+        pytest.param(["export", "--format", "csv"], id="export-csv"),
     ],
 )
 def test_training_on_shots_without_samples_exits_2(workdir, capsys, command):

@@ -264,7 +264,7 @@ def test_fold_sums_coefficients_in_index_order(block):
     assert arr.tobytes() == acc.tobytes()
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 512])
+@pytest.mark.parametrize("chunk", [1, 7, 256, 512])
 def test_single_shot_equals_its_row_in_any_chunk(chunk):
     shots = generate_dataset(SimConfig(seed=3), shots_per_state=174).shots[:520]
     for name in ("bandpass_lstm", "gmm"):

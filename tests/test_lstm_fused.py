@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from readoutkit.nn.activations import sigmoid
-from readoutkit.nn.loss import weighted_cross_entropy
-from readoutkit.nn.lstm import LstmNetwork, batch_blocks
+from readoutkit.nn.loss import batch_blocks, weighted_cross_entropy
+from readoutkit.nn.lstm import LstmNetwork
 from readoutkit.nn.optim import Adam
 from readoutkit.nn.serialize import load_model, save_model
 
