@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -156,10 +157,18 @@ def cmd_compare(args) -> int:
     if frac is not None:
         print(f"fraction of {rep_p.name}-only wins with a mid-readout transition: {frac:.3f}")
 
-    t0 = time.perf_counter()
+    # warm latency: the first call pays one-off set-up, so it is not timed
     primary.predict_one(test_shots[0])
-    latency_ms = (time.perf_counter() - t0) * 1e3
-    print(f"single-shot classification latency: {latency_ms:.1f} ms")
+    seconds = []
+    for shot in test_shots[:100]:
+        t0 = time.perf_counter()
+        primary.predict_one(shot)
+        seconds.append(time.perf_counter() - t0)
+    latency_ms = statistics.median(seconds) * 1e3
+    print(
+        f"single-shot classification latency: {latency_ms:.2f} ms"
+        f" (median of {len(seconds)} warm calls)"
+    )
 
     if args.out:
         payload = {

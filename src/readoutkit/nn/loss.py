@@ -84,7 +84,8 @@ class Classifier:
     parameter count, and prediction for a network with ``forward``,
     ``batch_axis`` and ``output``: logits from ``forward`` run over views of
     at most ``BATCH_BLOCK`` shots along the batch axis, one lstm column block
-    each, so memory does not grow with the number of shots."""
+    each, written into one preallocated array, so memory does not grow with
+    the number of shots.  A set of at most one block is one ``forward``."""
 
     @classmethod
     def from_arch(cls, arch: dict, seed: int = 0):
@@ -97,10 +98,14 @@ class Classifier:
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim <= self.batch_axis:
-            return self.forward(x)[0]  # which refuses the shape
-        cuts = range(BATCH_BLOCK, x.shape[self.batch_axis], BATCH_BLOCK)
-        return np.concatenate([self.forward(b)[0] for b in np.split(x, cuts, self.batch_axis)])
+        if x.ndim <= self.batch_axis or x.shape[self.batch_axis] <= BATCH_BLOCK:
+            return self.forward(x)[0]  # which refuses a wrong shape
+        n = x.shape[self.batch_axis]
+        logits = np.empty((n, self.output_dim))
+        lead = (slice(None),) * self.batch_axis
+        for s in batch_blocks(n):
+            logits[s] = self.forward(x[lead + (s,)])[0]
+        return logits
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         logits = self.predict_logits(x)

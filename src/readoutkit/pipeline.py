@@ -30,9 +30,10 @@ bin's basis tone.  The responses come from the per-sample code itself, run
 once on the basis tones and cached per stage list, trace length and rate.
 Every stage after the bandpass is linear, so this is the same map and
 agrees with the per-sample chain to rounding, without the complex FFT pair
-and the per-sample mixing.  The sum is a running sum in coefficient index
-order with elementwise operations, so a shot's output does not depend on
-the batch it is in or on the BLAS thread count.  Where the sum would cost
+and the per-sample mixing.  The sum adds the terms in coefficient index
+order with elementwise operations (one reduce for a lone shot, a running
+sum for a block), so a shot's output does not depend on the batch it is in
+or on the BLAS thread count.  Where the sum would cost
 more than the per-sample chain (a wide band without binning), the
 per-sample chain runs instead.
 """
@@ -232,16 +233,26 @@ def _fold(x: np.ndarray, bins: np.ndarray, response: np.ndarray) -> np.ndarray:
     The bandpass output is ``sum_k Re X_k * irfft(e_k) + Im X_k *
     irfft(1j * e_k)`` over the in-band bins k, and every later stage is
     linear, so the chain's output is the same sum over the responses of the
-    rest of the list to those basis tones.  The sum is a running sum in
+    rest of the list to those basis tones.  The sum adds the terms in
     coefficient index order, starting from the first term (zeros for an
     empty band), by elementwise operations, never by a BLAS product, so a
     shot's row has the same bytes in any batch and at any thread count.
+
+    A lone shot (every ``predict_one``) sums all its terms with one
+    ``np.add.reduce`` over the term axis, which is not the innermost axis,
+    so numpy adds term after term in index order, exactly as the running
+    sum does; its (1, terms, outputs) temporary is 16 KB for the stock
+    stages.  A block keeps the running sum, two ufunc calls per term, whose
+    temporaries stay one term's size where a block-wide reduce was measured
+    slower.
     """
     if not len(response):
         return np.zeros((len(x),) + response.shape[1:])
     # (batch, 2 * bins) reals: Re X_k, Im X_k per in-band bin, as the rows
     coeffs = np.ascontiguousarray(np.fft.rfft(x, axis=-1)[:, bins]).view(float)
     coeffs = coeffs.reshape(coeffs.shape + (1,) * (response.ndim - 1))
+    if len(x) == 1:
+        return np.add.reduce(coeffs * response, axis=1)
     out = coeffs[:, 0] * response[0]
     for j in range(1, len(response)):
         out += coeffs[:, j] * response[j]

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -138,7 +139,9 @@ def test_compare_reports_gap_and_forensics(workdir, capsys):
     assert "average fidelity gap (quick_lstm - gmm):" in out
     assert "shots only quick_lstm got right:" in out
     assert "single-shot classification latency:" in out
+    assert re.search(r"latency: [0-9.]+ ms \(median of [0-9]+ warm calls\)", out)
     payload = json.loads(summary.read_text())
+    assert f"latency: {payload['latency_ms']:.2f} ms (median of" in out
     assert set(payload) >= {"baseline", "primary", "gap", "disagreements", "latency_ms"}
     assert payload["baseline"]["name"] == "gmm"
     assert abs(payload["gap"]) <= 1.0

@@ -250,7 +250,11 @@ def test_fold_runs_where_it_is_cheaper(block, stages, folds):
     assert relative_error(arr, o_arr) < 1e-12
 
 
-def test_fold_sums_coefficients_in_index_order(block):
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(37, 38)], ids=["block", "row0", "row37"])
+def test_fold_sums_coefficients_in_index_order(block, rows):
+    # a lone shot's fold is one reduce over the terms, a block's a running
+    # sum: both must give the bytes of this explicit loop
+    block = block[rows]
     stages = normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"]
     bins, response = band_response(stages)
     assert not response.flags.writeable

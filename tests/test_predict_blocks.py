@@ -7,7 +7,8 @@ one of the column blocks its products run over anyway, so its logits are
 the bytes of one forward over all the shots at any shot count.  The dense
 network's forward is one product over the batch; a shorter last block may
 take another BLAS edge kernel and round differently, so its logits agree to
-a relative 1e-12.
+a relative 1e-12.  A set of at most one block runs one forward, and more
+shots write each block's logits into one preallocated array.
 """
 
 import tracemalloc
@@ -45,6 +46,21 @@ def test_block_logits_agree_with_one_forward(N):
     whole, _ = model.forward(x)
     assert model.predict_logits(x).tobytes() == whole.tobytes()
     assert np.array_equal(model.predict(x), np.argmax(whole, axis=1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [1, 16, 257, 1024])
+def test_one_column_dot_is_the_bytes_of_matmul(hidden, dtype):
+    # a one-shot forward takes each step's gate product by np.dot, any
+    # wider one by np.matmul; a single shot's logits keep their bytes only
+    # while the two agree on one column at every width a model can have
+    rng = np.random.default_rng(hidden)
+    W = rng.normal(size=(4 * hidden, hidden + 65)).astype(dtype)
+    v = rng.normal(size=(hidden + 65, 1)).astype(dtype)
+    for d in range(1, 65):
+        WT = np.ascontiguousarray(W[:, : hidden + d + 1])
+        op = np.ascontiguousarray(v[: hidden + d + 1])
+        assert np.dot(WT, op).tobytes() == np.matmul(WT, op).tobytes(), d
 
 
 def test_dense_blocks_agree_with_one_forward(rng):
