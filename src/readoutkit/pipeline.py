@@ -404,7 +404,8 @@ def train_pipeline(
     shots = list(dataset)
     desc = normalize_descriptor(descriptor)
     X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]), lstm_dtype=np.float32)
-    input_length, sample_rate = shot_format(shots)
+    # preprocess_batch has checked that every shot shares the first's format
+    input_length, sample_rate = len(shots[0].samples), shots[0].sample_rate
     labels = np.array([s.label for s in shots], dtype=int)
 
     if desc["model"]["kind"] == "gmm":

@@ -15,10 +15,13 @@ makes one pass over the attempts.  The streams' PCG64 start states are
 derived ``_SEED_BLOCK`` attempts at a time in one vectorised pass, which
 re-implements numpy's seeding (``SeedSequence`` of NEP 19, then PCG64's
 two seeding steps) and equals ``shot_rng`` state for state; each is loaded
-in turn into one reused generator.  An attempt's path and herald bit are
-drawn, and a retained shot is rendered from the same stream, continuing
-after the herald draw, into its row of one
-``(3 * shots_per_state, n_samples)`` float32 block.  The carrier (without
+in turn into one reused generator.  Every attempt id enters that pass as
+two uint32 words (low, high): numpy gives an id below 2**32 one word, but
+``SeedSequence`` hashes 0 into each of its four pool words that the
+entropy leaves empty, so a zero high word gives numpy's state.  An
+attempt's path and herald bit are drawn, and a retained shot is rendered
+from the same stream, continuing after the herald draw, into its row of
+one ``(3 * shots_per_state, n_samples)`` float32 block.  The carrier (without
 phase noise), the state targets and the resonator ring-up from an empty
 cavity are tabulated once per call and sliced for each shot.  Path
 regeneration replays the same scan and renders nothing, so the same
@@ -244,24 +247,23 @@ def shot_rng(seed: int, shot_id: int) -> np.random.Generator:
     return np.random.default_rng([seed, shot_id])
 
 
-def _words(n: int) -> list[int]:
-    """The uint32 words ``SeedSequence`` splits an entropy integer into,
-    least significant first (one word for 0)."""
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``shot_rng(seed, id)``, as it stands before
+    any draw, for each id in ``[start, start + count)``, within [0, 2**64).
 
-
-def _stream_block(seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """``_stream_states`` for ids that all take as many uint32 words as
-    ``start``: ``SeedSequence([seed, id])`` mixed over the block as uint32
-    arrays, then PCG64's seeding steps on Python ints."""
+    The ids are derived in one pass: ``SeedSequence([seed, id])`` mixed over
+    them as uint32 arrays, then PCG64's seeding steps on Python ints.  Every
+    id enters as two words, low then high.  numpy gives an id below 2**32
+    one word, but ``SeedSequence`` hashes 0 into each pool word that its
+    entropy does not reach, so a zero high word mixes as that one-word id
+    does."""
     ids = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    entropy = [np.full(count, w, np.uint32) for w in _words(seed)]
-    entropy += [(ids >> np.uint64(32 * j)).astype(np.uint32) for j in range(len(_words(start)))]
-    # a seed and an id below 2**64 take at most the pool's four words
+    # numpy splits the seed into uint32 words, least significant first: one
+    # below 2**32, else two
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = [np.full(count, w, np.uint32) for w in seed_words]
+    entropy += [ids.astype(np.uint32), (ids >> np.uint64(32)).astype(np.uint32)]
+    # a seed below 2**64 and an id take at most the pool's four words
     entropy += [np.zeros(count, np.uint32)] * (_POOL_SIZE - len(entropy))
     shift = np.uint32(16)
     hash_const = _INIT_A
@@ -299,20 +301,6 @@ def _stream_block(seed: int, start: int, count: int) -> list[tuple[int, int]]:
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
         out.append((state, inc))
-    return out
-
-
-def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``shot_rng(seed, id)``, as it stands before
-    any draw, for each id in ``[start, start + count)``, within [0, 2**64).
-
-    The block is derived in one pass, cut where the ids' word count changes
-    (ids from 2**32 on take two words of entropy)."""
-    out = []
-    while count:
-        n = min(count, (1 << 32 * len(_words(start))) - start)
-        out += _stream_block(seed, start, n)
-        start, count = start + n, count - n
     return out
 
 
@@ -403,30 +391,24 @@ class _Renderer:
         constant ``ring_time``, integrated exactly over each constant-state
         stretch; the resonator starts empty (e = 0 at t = 0).
         """
-        cfg, n, dt = self.cfg, self.n, self.cfg.dt
+        n, dt, tau = self.n, self.cfg.dt, self.cfg.ring_time
         env = np.empty(n, dtype=complex)
-        if cfg.ring_time == 0.0:
-            for state, start, end in path.segments:
-                lo = int(math.ceil(start / dt - 1e-12))
-                hi = min(int(math.ceil(end / dt - 1e-12)), n)
-                env[lo:hi] = self.targets[state]
-            return env
-
         e = 0.0 + 0.0j
         t_prev = 0.0
         for k, (state, start, end) in enumerate(path.segments):
             target = self.targets[state]
             lo = int(math.ceil(start / dt - 1e-12))
             hi = min(int(math.ceil(end / dt - 1e-12)), n)
-            if lo < hi:
-                if k == 0 and lo == 0:
-                    env[:hi] = self.ring_up[state][:hi]
-                else:
-                    times = np.arange(lo, hi) * dt
-                    decay = np.exp(-(times - t_prev) / cfg.ring_time)
-                    env[lo:hi] = target + (e - target) * decay
+            if tau == 0.0:
+                env[lo:hi] = target
+                continue
+            if k == 0 and lo == 0:
+                env[:hi] = self.ring_up[state][:hi]
+            elif lo < hi:
+                decay = np.exp(-(np.arange(lo, hi) * dt - t_prev) / tau)
+                env[lo:hi] = target + (e - target) * decay
             # carry the envelope value forward to the segment end
-            e = target + (e - target) * math.exp(-(end - t_prev) / cfg.ring_time)
+            e = target + (e - target) * math.exp(-(end - t_prev) / tau)
             t_prev = end
         return env
 

@@ -356,6 +356,10 @@ def test_unreadable_files_exit_4(workdir, capsys):
     rc = main(["inspect", "--data", str(garbage)])
     assert rc == 4
     assert "file error:" in capsys.readouterr().err
+    out = workdir / "x.rkd"
+    assert main(["simulate", "--config", str(workdir / "missing.json"), "--out", str(out)]) == 4
+    assert "cannot read config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_model_sidecar_exits_4(workdir, capsys):
@@ -535,6 +539,20 @@ def test_compare_rejects_sidecar_that_does_not_reproduce(workdir, capsys):
     assert "does not reproduce" in capsys.readouterr().err
 
 
+def test_compare_rejects_a_label_the_config_does_not_reproduce(workdir, capsys):
+    data = simulate(workdir)
+    raw = bytearray(data.read_bytes())
+    record = 2 + 4 * 400
+    label = len(raw) - 90 * record + 5 * record
+    assert raw[label] == 0  # row 5 was prepared in state 0
+    raw[label] = 1
+    data.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = main(["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")])
+    assert rc == 2
+    assert "label of row 5" in capsys.readouterr().err
+
+
 def test_evaluate_refuses_non_finite_shots(workdir, capsys):
     data = simulate(workdir)
     model = workdir / "gmm.rkm"
@@ -695,6 +713,19 @@ def test_pipeline_with_non_mapping_stage_exits_2(workdir, capsys):
     assert "stage 0 must be a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'{"name": ', b"\xff\xfe"], ids=["truncated", "not-utf8"])
+def test_pipeline_file_that_is_not_json_exits_2(workdir, capsys, content):
+    data = simulate(workdir)
+    pipe = workdir / "bad_pipeline.json"
+    pipe.write_bytes(content)
+    capsys.readouterr()
+    out = workdir / "m.rkm"
+    rc = main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(out)])
+    assert rc == 2
+    assert "pipeline file is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("column, value", [("label", 3), ("herald", 2)], ids=["label", "herald"])
 @pytest.mark.parametrize("command", ["inspect", "train", "evaluate"])
 def test_out_of_range_record_byte_exits_4(workdir, capsys, command, column, value):
@@ -773,4 +804,15 @@ def test_export_refuses_max_shots_below_one(workdir, capsys, fmt, max_shots):
     args = ["--data", str(data), "--format", fmt, "--max-shots", max_shots, "--out", str(out)]
     assert main(["export", *args]) == 2
     assert "--max-shots must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_export_of_a_file_without_shots_exits_2(workdir, capsys, fmt):
+    # a well-formed file of zero records, which save_dataset never writes
+    empty = workdir / "empty.rkd"
+    empty.write_bytes(struct.pack("<12sIQId", b"RKIT-DATASET", 1, 0, 400, 2.0))
+    out = workdir / f"shots.{fmt}"
+    assert main(["export", "--data", str(empty), "--format", fmt, "--out", str(out)]) == 2
+    assert "error: no shots" in capsys.readouterr().err
     assert not out.exists()

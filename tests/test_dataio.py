@@ -222,6 +222,15 @@ def test_regeneration_rejects_sidecar_that_does_not_reproduce(tmp_path, quiet_da
         load_dataset(path, regenerate=True)
 
 
+def test_regeneration_refuses_a_shot_count_the_config_does_not_give(tmp_path):
+    # 89 shots read as 29 per state, which the scan gives as 87
+    cfg = SimConfig(duration=20.0, seed=2)
+    path = tmp_path / "shots.rkd"
+    save_dataset(Dataset(shots=generate_dataset(cfg, 30).shots[:89], config=cfg), path)
+    with pytest.raises(DataError, match="expected 87 shots, got 89"):
+        load_dataset(path, regenerate=True)
+
+
 def test_regeneration_checks_sample_count_before_rendering(tmp_path):
     # a sidecar whose config renders 4e6 samples for a 40-sample file is
     # refused before the renderer builds tables of that length

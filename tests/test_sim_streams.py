@@ -19,7 +19,9 @@ from readoutkit.sim import STATES, _scan, _stream_states
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 SEEDS = st.integers(0, 2**64 - 1)
-# the word count of an id's entropy changes at 2**32
+# numpy coerces an id below 2**32 to one entropy word and a larger one to
+# two, so the starts cover both sides of 2**32: the derivation, which always
+# takes two words, must match numpy on either side
 STARTS = st.one_of(
     st.integers(0, 10_000),
     st.integers(2**32 - 40, 2**32 + 40),
@@ -45,7 +47,8 @@ def test_stream_states_equal_numpy_seeding(seed, start, count):
 @pytest.mark.parametrize("seed", [0, 1, 1013, 2**32 - 1, 2**32 + 5, 2**64 - 1])
 def test_attempt_zero_and_ids_either_side_of_two_to_the_32(seed):
     assert _stream_states(seed, 0, 1) == [_oracle(seed, 0)]
-    # one block straddling 2**32, where ids go from one word to two
+    # one block straddling 2**32, where numpy's coercion of the id changes:
+    # the derivation must match it on both sides within one pass
     start = 2**32 - 3
     block = _stream_states(seed, start, 6)
     assert block == [_oracle(seed, a) for a in range(start, start + 6)]
