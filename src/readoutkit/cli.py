@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -165,9 +166,11 @@ def cmd_compare(args) -> int:
         primary.predict_one(shot)
         seconds.append(time.perf_counter() - t0)
     latency_ms = statistics.median(seconds) * 1e3
+    # nearest rank: of 100 calls, the 90th fastest, with ten calls beyond it
+    latency_p90_ms = sorted(seconds)[math.ceil(0.9 * len(seconds)) - 1] * 1e3
     print(
-        f"single-shot classification latency: {latency_ms:.2f} ms"
-        f" (median of {len(seconds)} warm calls)"
+        f"single-shot classification latency: {latency_ms:.2f} ms median,"
+        f" {latency_p90_ms:.2f} ms p90 ({len(seconds)} warm calls)"
     )
 
     if args.out:
@@ -177,6 +180,7 @@ def cmd_compare(args) -> int:
             "gap": gap,
             "disagreements": summary,
             "latency_ms": latency_ms,
+            "latency_p90_ms": latency_p90_ms,
         }
         if dataset.config is not None:
             payload["data_config_sha256"] = config_hash(dataset.config.to_dict())
@@ -208,9 +212,8 @@ def cmd_inspect(args) -> int:
         print(f"shots: {len(dataset)}")
         counts = dataset.counts()
         print("per state: " + ", ".join(f"{s}: {counts[s]}" for s in sorted(counts)))
-        if dataset.shots:
-            print(f"samples per shot: {len(dataset.shots[0].samples)}")
-            print(f"sample rate: {dataset.shots[0].sample_rate} /ns")
+        print(f"samples per shot: {len(dataset.shots[0].samples)}")
+        print(f"sample rate: {dataset.shots[0].sample_rate} /ns")
         if dataset.config is not None:
             print(f"config sha256: {config_hash(dataset.config.to_dict())}")
             print(f"config: {canonical_json(dataset.config.to_dict())}")

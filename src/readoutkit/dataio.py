@@ -98,11 +98,13 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
     """Read a binary shot file; optionally rebuild ground-truth paths.
 
-    The v1 format stores no shot ids, so shots are numbered by row.
-    ``regenerate=True`` requires the sidecar and replays the generator's
-    scan from the stored config: the first shot of each state must match
-    its re-rendered trace byte for byte (``DataError`` otherwise), and every
-    shot gets its true path and its generated ``shot_id`` back.
+    The v1 format stores no shot ids, so shots are numbered by row.  A file
+    of zero shots, which :func:`save_dataset` never writes, is refused with
+    ``DataError``.  ``regenerate=True`` requires the sidecar and replays
+    the generator's scan from the stored config: the first shot of each
+    state must match its re-rendered trace byte for byte (``DataError``
+    otherwise), and every shot gets its true path and its generated
+    ``shot_id`` back.
     """
     path = Path(path)
     try:
@@ -128,6 +130,8 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
         dtype = _record_dtype(n_samples)
     except ValueError as e:  # numpy caps a record at 2 GiB
         raise FileFormatError(f"{path}: records of {n_samples} samples are too large") from e
+    if count == 0:  # well formed, but nothing any command can use; never saved
+        raise DataError(f"{path} holds no shots")
     records = np.fromfile(path, dtype=dtype, count=count, offset=_HEADER.size)
     for column, allowed in (("label", len(STATES)), ("herald", 2)):
         bad = np.flatnonzero(records[column] >= allowed)

@@ -101,6 +101,9 @@ class DenseNetwork(Classifier):
             acts.append(a)
         return a, (pre, acts)
 
+    def _block_logits(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)[0]
+
     def backward(self, cache, dlogits: np.ndarray) -> list[np.ndarray]:
         pre, acts = cache
         n_hidden = len(self.hidden)

@@ -24,6 +24,18 @@ elementwise work, forward and backward, runs on contiguous memory, written
 in place into preallocated buffers; the backward keeps the per-gate
 formulas' operation order.
 
+One step loop serves two buffer layouts.  ``forward``, which training and
+``gradient_check`` call, writes each step into the (T, ...) gate, cell and
+tanh(cell) caches that ``backward`` reads.  Prediction (``predict_logits``,
+through ``_block_logits``) keeps no caches: every step reuses one (4*hidden,
+N) gate buffer, whose four block views are taken once, one cell buffer
+updated in place (``c = f * c``, then ``c += i * g``) and one tanh(cell)
+buffer.  The operations and their order are the same, so the logits are
+the same bytes.  A 256-shot block then holds its operand buffer (about
+2 MiB at 50 steps and 16 hidden units) instead of about 12 MiB of caches,
+and a 50-step layer measured 13-15% faster at 256 shots and 18-24% at one
+shot (two shared vCPUs, one BLAS thread).
+
 The forward pass evaluates all four gate blocks with one ``tanh`` per step,
 written in place into the gate cache.  It relies on the identity that
 ``activations.sigmoid`` computes, ``sigmoid(z) = 0.5 * (tanh(0.5 * z) + 1)``:
@@ -81,6 +93,8 @@ and float32 results are bit-identical to the per-gate form in float32.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -118,9 +132,10 @@ class _Layer:
         self.b[...] = 0.0
         self.b[h : 2 * h] = 1.0
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, keep: bool):
         """x is (T, input_dim, N), float32 or float64; returns the
-        (T, hidden, N) states and cache, computed in x's dtype."""
+        (T, hidden, N) states and, with ``keep``, the cache ``backward``
+        reads (``None`` without), computed in x's dtype."""
         T, D, N = x.shape
         h = self.hidden_dim
         dt = x.dtype
@@ -135,19 +150,28 @@ class _Layer:
         ops[:T, h : h + D] = x
         ops[:T, h + D] = 1.0
         ops[T, h:] = 0.0
-        gates = np.empty((T, 4 * h, N), dtype=dt)
-        cs = np.empty((T, h, N), dtype=dt)
-        tanh_cs = np.empty((T, h, N), dtype=dt)
+        # the step buffers: training keeps a slot per step for the backward,
+        # its views made as the loop reaches it (a list of them all measured
+        # 3% slower); prediction reuses one slot, whose views are taken once
+        slots = T if keep else 1
+        gates = np.empty((slots, 4 * h, N), dtype=dt)
+        cs = np.empty((slots, h, N), dtype=dt)
+        tanh_cs = np.empty((slots, h, N), dtype=dt)
+        steps = (
+            (g, g[:h], g[h : 2 * h], g[2 * h : 3 * h], g[3 * h :], c, tc)
+            for g, c, tc in zip(gates, cs, tanh_cs)
+        )
+        if not keep:
+            steps = itertools.repeat(next(steps), T)
         ig = np.empty((h, N), dtype=dt)
+        c_prev = np.zeros((h, N), dtype=dt)
         # the sigmoid finish as full-size operands, one contiguous pass each
         offset = np.repeat((scale != 1.0)[:, None], N, axis=1).astype(dt)
         scale = np.repeat(scale[:, None], N, axis=1)
         blocks = batch_blocks(N)
-        c_t = np.zeros((h, N), dtype=dt)
         # np.dot for one shot: matmul's bytes at half the call cost (see above)
         dot, matmul, tanh, add, multiply = np.dot, np.matmul, np.tanh, np.add, np.multiply
-        for t in range(T):
-            g = gates[t]
+        for t, (g, gi, gf, gg, go, c, tc) in enumerate(steps):
             if N == 1:
                 dot(WT, ops[t], g)
             else:
@@ -156,11 +180,12 @@ class _Layer:
             tanh(g, g)
             add(g, offset, g)
             multiply(g, scale, g)
-            c_t = multiply(g[h : 2 * h], c_t, cs[t])
-            add(c_t, multiply(g[:h], g[2 * h : 3 * h], ig), c_t)
-            multiply(g[3 * h :], tanh(c_t, tanh_cs[t]), ops[t + 1, :h])
-        cache = (ops, gates, cs, tanh_cs)
-        return ops[1:, :h], cache
+            # in the prediction layout c is c_prev: the update runs in place
+            multiply(gf, c_prev, c)
+            add(c, multiply(gi, gg, ig), c)
+            multiply(go, tanh(c, tc), ops[t + 1, :h])
+            c_prev = c
+        return ops[1:, :h], ((ops, gates, cs, tanh_cs) if keep else None)
 
     def backward(self, cache, dh_seq: np.ndarray, input_grad: bool = True):
         """``(dx, (dWx, dWh, db))`` for the (T, hidden, N) state gradients
@@ -298,6 +323,13 @@ class LstmNetwork(Classifier):
     def forward(self, x: np.ndarray):
         """x is (T, N, input_dim); returns ((N, output_dim) logits, cache),
         computed in float32 for float32 input and in float64 otherwise."""
+        return self._run(x, keep=True)
+
+    def _block_logits(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward`'s logits, from the layers' prediction layout."""
+        return self._run(x, keep=False)[0]
+
+    def _run(self, x: np.ndarray, keep: bool):
         x = np.asarray(x)
         if x.dtype != np.float32:
             x = np.asarray(x, dtype=float)
@@ -309,7 +341,7 @@ class LstmNetwork(Classifier):
         # a (T, D, N) view: the layers run batch-last
         seq = x.transpose(0, 2, 1)
         for layer in self.layers:
-            seq, cache = layer.forward(seq)
+            seq, cache = layer.forward(seq, keep)
             caches.append(cache)
         h_final = seq[-1]
         W_out = self.W_out.astype(x.dtype, copy=False)

@@ -168,10 +168,20 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]) ->
     x = np.asarray(samples, dtype=float)
     fold = None
     if stages and stages[0]["op"] == "bandpass":
-        fold = _band_response(canonical_json(stages), x.shape[-1], sample_rate)
+        key = stages.key if isinstance(stages, _KeyedStages) else canonical_json(stages)
+        fold = _band_response(key, x.shape[-1], sample_rate)
     if fold is None:
         return _apply_per_sample(x, sample_rate, stages)
     return _fold(x, *fold)
+
+
+class _KeyedStages(list):
+    """A private copy of a stage list and its canonical JSON, the fold's
+    response key, worked out once instead of on every block."""
+
+    def __init__(self, stages: list[dict]):
+        super().__init__(copy.deepcopy(stages))
+        self.key = canonical_json(self)
 
 
 def _apply_per_sample(x: np.ndarray, rate: float, stages: list[dict]) -> np.ndarray:
@@ -317,12 +327,19 @@ def _model_inputs(desc: dict, arr: np.ndarray, lstm_dtype=np.float64):
 
 @dataclass
 class TrainedPipeline:
-    """A fitted pipeline: descriptor plus the trained model object."""
+    """A fitted pipeline: descriptor plus the trained model object.
+
+    The fold's response key is worked out from the descriptor's stage list
+    when the pipeline is built or loaded; a prediction compares the list
+    with that key's copy, so an edit made since takes a new key."""
 
     descriptor: dict
     model: object
     input_length: int
     sample_rate: float
+
+    def __post_init__(self):
+        self._stages = _KeyedStages(self.descriptor["stages"])
 
     @property
     def name(self) -> str:
@@ -341,7 +358,9 @@ class TrainedPipeline:
                 raise IncompatibilityError(
                     f"pipeline was trained on shots at {self.sample_rate} samples/ns, got {rate}"
                 )
-        return _model_inputs(self.descriptor, preprocess_batch(shots, self.descriptor["stages"]))
+        if self._stages != self.descriptor["stages"]:
+            self._stages = _KeyedStages(self.descriptor["stages"])
+        return _model_inputs(self.descriptor, preprocess_batch(shots, self._stages))
 
     def predict(self, shots: list[RawShot]) -> np.ndarray:
         return self.model.predict(self._inputs(shots))

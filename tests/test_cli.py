@@ -139,10 +139,14 @@ def test_compare_reports_gap_and_forensics(workdir, capsys):
     assert "average fidelity gap (quick_lstm - gmm):" in out
     assert "shots only quick_lstm got right:" in out
     assert "single-shot classification latency:" in out
-    assert re.search(r"latency: [0-9.]+ ms \(median of [0-9]+ warm calls\)", out)
+    assert re.search(r"latency: [0-9.]+ ms median, [0-9.]+ ms p90 \([0-9]+ warm calls\)", out)
     payload = json.loads(summary.read_text())
-    assert f"latency: {payload['latency_ms']:.2f} ms (median of" in out
-    assert set(payload) >= {"baseline", "primary", "gap", "disagreements", "latency_ms"}
+    median, p90 = payload["latency_ms"], payload["latency_p90_ms"]
+    assert f"latency: {median:.2f} ms median, {p90:.2f} ms p90 (" in out
+    assert 0 < median <= p90
+    assert set(payload) >= {
+        "baseline", "primary", "gap", "disagreements", "latency_ms", "latency_p90_ms"
+    }
     assert payload["baseline"]["name"] == "gmm"
     assert abs(payload["gap"]) <= 1.0
     # regenerated ground truth makes the transition census available
@@ -807,12 +811,32 @@ def test_export_refuses_max_shots_below_one(workdir, capsys, fmt, max_shots):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "svg"])
-def test_export_of_a_file_without_shots_exits_2(workdir, capsys, fmt):
-    # a well-formed file of zero records, which save_dataset never writes
+@pytest.mark.parametrize(
+    "command", ["export-csv", "export-svg", "train", "compare", "evaluate", "inspect"]
+)
+def test_a_file_without_shots_exits_2(workdir, capsys, command):
+    # a well-formed file of zero records, which save_dataset never writes,
+    # is refused where it is loaded, before any command-specific step
     empty = workdir / "empty.rkd"
     empty.write_bytes(struct.pack("<12sIQId", b"RKIT-DATASET", 1, 0, 400, 2.0))
-    out = workdir / f"shots.{fmt}"
-    assert main(["export", "--data", str(empty), "--format", fmt, "--out", str(out)]) == 2
-    assert "error: no shots" in capsys.readouterr().err
+    out = workdir / "out"
+    data = ["--data", str(empty)]
+    if command == "evaluate":
+        model = workdir / "gmm.rkm"
+        args = ["train", "--data", str(simulate(workdir)), "--pipeline", "gmm", "--out", str(model)]
+        assert main(args) == 0
+        capsys.readouterr()
+        data = ["--model", str(model), *data]
+    args = {
+        "export-csv": ["export", *data, "--format", "csv", "--out", str(out)],
+        "export-svg": ["export", *data, "--format", "svg", "--out", str(out)],
+        "train": ["train", *data, "--pipeline", "gmm", "--out", str(out)],
+        "compare": ["compare", *data, "--out", str(out)],
+        "evaluate": ["evaluate", *data, "--out", str(out)],
+        "inspect": ["inspect", *data],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {empty} holds no shots\n"
+    assert captured.out == ""
     assert not out.exists()

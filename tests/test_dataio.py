@@ -302,6 +302,14 @@ def test_refuses_empty_dataset(tmp_path):
         save_dataset(Dataset(shots=[]), tmp_path / "e.rkd")
 
 
+def test_load_refuses_a_file_without_shots(tmp_path):
+    # well formed, with a record dtype, but what save_dataset never writes
+    path = tmp_path / "e.rkd"
+    path.write_bytes(struct.pack("<12sIQId", DATASET_MAGIC, 1, 0, 400, 2.0))
+    with pytest.raises(DataError, match="holds no shots"):
+        load_dataset(path)
+
+
 def test_save_refuses_config_at_another_sample_rate(tmp_path, quiet_dataset):
     # the load would refuse the file: its header rate and config disagree
     config = dataclasses.replace(quiet_dataset.config, sample_rate=4.0)

@@ -8,6 +8,7 @@ stage list without a bandpass still runs the per-sample chain and matches
 the oracle byte for byte.
 """
 
+import copy
 import hashlib
 import os
 import subprocess
@@ -20,11 +21,13 @@ import pytest
 from readoutkit import (
     ConfigurationError,
     SimConfig,
+    TrainedPipeline,
     canonical_json,
     generate_dataset,
     normalize_descriptor,
     preprocess_batch,
     standard_pipelines,
+    train_pipeline,
 )
 from readoutkit.dsp import band_bins
 from readoutkit.pipeline import _band_response, apply_stages
@@ -280,6 +283,32 @@ def test_single_shot_equals_its_row_in_any_chunk(chunk):
         for k in (0, 1, 6, 7, 300, 511, 519):
             alone = apply_stages(shots[k].samples[None], 2.0, stages)
             assert alone[0].tobytes() == batch[k].tobytes()
+
+
+def test_an_edited_stage_list_cannot_get_the_old_response(shots, block):
+    # the response is cached by the stage list's canonical JSON: a plain
+    # list is keyed on every call, a pipeline's once and again after an edit
+    stages = [bp(0.1, 0.005), demod(), {"op": "bin", "size": 40}]
+    first = apply_stages(block, 2.0, stages)
+    stages[0]["half_width"] = 0.02
+    edited = apply_stages(block, 2.0, stages)
+    assert edited.tobytes() != first.tobytes()
+    assert relative_error(edited, oracle_stages(block, 2.0, stages)) < 1e-12
+
+    desc = {
+        "stages": [bp(0.1, 0.005), demod(), {"op": "bin", "size": 40}],
+        "model": {"kind": "lstm", "hidden": [4]},
+        "train": {"epochs": 1, "seed": 0},
+    }
+    fitted = train_pipeline(shots, desc)
+    before = fitted.predict_proba(shots)
+    fitted.descriptor["stages"][0]["half_width"] = 0.02
+    after = fitted.predict_proba(shots)
+    fresh = TrainedPipeline(
+        copy.deepcopy(fitted.descriptor), fitted.model, fitted.input_length, fitted.sample_rate
+    )
+    assert after.tobytes() == fresh.predict_proba(shots).tobytes()
+    assert after.tobytes() != before.tobytes()
 
 
 _THREAD_PROBE = """

@@ -1,14 +1,18 @@
-"""Prediction runs ``forward`` over fixed blocks of shots.
+"""Prediction runs the networks over fixed blocks of shots.
 
 ``predict_logits`` splits its input into views of at most ``BATCH_BLOCK``
-shots along the network's batch axis, so prediction holds one block's
-training caches at a time, not the whole set's.  Each of the lstm's views is
-one of the column blocks its products run over anyway, so its logits are
-the bytes of one forward over all the shots at any shot count.  The dense
-network's forward is one product over the batch; a shorter last block may
-take another BLAS edge kernel and round differently, so its logits agree to
-a relative 1e-12.  A set of at most one block runs one forward, and more
-shots write each block's logits into one preallocated array.
+shots along the network's batch axis and takes each block's logits from
+the network's ``_block_logits``.  The lstm's runs the same step loop as
+``forward`` in its prediction layout: one gate, cell and tanh(cell) buffer
+reused at every step instead of the training caches, so prediction holds
+one block's operand buffer at a time, not the whole set's caches.  Each of
+the lstm's views is one of the column blocks its products run over anyway,
+so its logits are the bytes of one forward over all the shots at any shot
+count.  The dense network's forward is one product over the batch; a
+shorter last block may take another BLAS edge kernel and round
+differently, so its logits agree to a relative 1e-12.  A set of at most
+one block runs one block's logits, and more shots write each block's
+logits into one preallocated array.
 """
 
 import tracemalloc
@@ -63,6 +67,20 @@ def test_one_column_dot_is_the_bytes_of_matmul(hidden, dtype):
         assert np.dot(WT, op).tobytes() == np.matmul(WT, op).tobytes(), d
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(16,), (8, 4)], ids=["h16", "h8-4"])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, BATCH_BLOCK, BATCH_BLOCK + 1, 600])
+def test_prediction_layout_is_the_bytes_of_forward(N, hidden, dtype):
+    # one step loop, two buffer layouts: the prediction layout reuses one
+    # gate, cell and tanh(cell) buffer per step, updating the cell in place
+    model = LstmNetwork(input_dim=3, hidden=hidden, seed=N)
+    x = np.random.default_rng(N).normal(size=(11, N, 3)).astype(dtype)
+    whole, _ = model.forward(x)
+    assert model._block_logits(x).tobytes() == whole.tobytes()
+    if dtype is np.float64:
+        assert model.predict_logits(x).tobytes() == whole.tobytes()
+
+
 def test_dense_blocks_agree_with_one_forward(rng):
     model = DenseNetwork(input_dim=6, seed=2)
     x = rng.normal(size=(1300, 6))
@@ -71,7 +89,9 @@ def test_dense_blocks_agree_with_one_forward(rng):
 
 
 def test_prediction_memory_does_not_grow_with_the_shots():
-    # one forward over 3000 shots of 50 steps keeps about 135 MB of caches
+    # one forward over 3000 shots of 50 steps keeps about 135 MB of caches,
+    # and one 256-shot block's training caches about 12 MiB; the prediction
+    # layout holds one block's operand buffer, about 2 MiB
     model = LstmNetwork(input_dim=2, hidden=(16,), seed=5)
     x = _inputs(50, 3000)
     tracemalloc.start()
@@ -80,4 +100,4 @@ def test_prediction_memory_does_not_grow_with_the_shots():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
