@@ -42,8 +42,6 @@ def _blocked_grads(a: np.ndarray, delta: np.ndarray):
 class DenseNetwork(Classifier):
     """Fully connected net: input -> hidden (SELU) ... -> linear logits."""
 
-    batch_axis = 0
-
     def __init__(
         self,
         input_dim: int,

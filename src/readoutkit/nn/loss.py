@@ -81,13 +81,14 @@ def weighted_cross_entropy(
 
 class Classifier:
     """What both networks share: building from an architecture block, the
-    parameter count, and prediction for a network with ``_block_logits``,
-    ``batch_axis`` and ``output``: logits from ``_block_logits`` run over
-    views of at most ``BATCH_BLOCK`` shots along the batch axis, one lstm
-    column block each, written into one preallocated array, so memory does
-    not grow with the number of shots.  A set of at most one block is one
-    call.  ``_block_logits`` gives ``forward``'s logits: the dense network's
-    is ``forward``, the lstm's runs its layers without training caches."""
+    parameter count, and prediction for a network with ``_block_logits``
+    and ``output``.  Both networks take the shots on axis 0, (N, D) or
+    (N, T, D): logits from ``_block_logits`` run over views of at most
+    ``BATCH_BLOCK`` shots, one lstm column block each, written into one
+    preallocated array, so memory does not grow with the number of shots.
+    A set of at most one block is one call.  ``_block_logits`` gives
+    ``forward``'s logits: the dense network's is ``forward``, the lstm's
+    runs its layers without training caches."""
 
     @classmethod
     def from_arch(cls, arch: dict, seed: int = 0):
@@ -100,13 +101,11 @@ class Classifier:
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim <= self.batch_axis or x.shape[self.batch_axis] <= BATCH_BLOCK:
+        if x.ndim == 0 or len(x) <= BATCH_BLOCK:
             return self._block_logits(x)  # which refuses a wrong shape
-        n = x.shape[self.batch_axis]
-        logits = np.empty((n, self.output_dim))
-        lead = (slice(None),) * self.batch_axis
-        for s in batch_blocks(n):
-            logits[s] = self._block_logits(x[lead + (s,)])
+        logits = np.empty((len(x), self.output_dim))
+        for s in batch_blocks(len(x)):
+            logits[s] = self._block_logits(x[s])
         return logits
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Batched multi-layer LSTM classifier with exact backpropagation through time.
 
-The network takes (time, batch, feature) input.  Each layer keeps its
-weights in one stacked block ``W = [Wh; Wx; b]`` of shape
-(hidden + input + 1, 4*hidden), with gate blocks ordered input, forget,
-cell, output; ``Wh``, ``Wx`` and ``b`` are views of it:
+The network takes (shot, time, feature) input, shots on axis 0 like every
+array of shots in the package.  Each layer keeps its weights in one
+stacked block ``W = [Wh; Wx; b]`` of shape (hidden + input + 1,
+4*hidden), with gate blocks ordered input, forget, cell, output; ``Wh``,
+``Wx`` and ``b`` are views of it:
 
     z = x_t @ Wx + h_{t-1} @ Wh + b            (batch, 4*hidden)
     i, f, o = sigmoid of their blocks;  g = tanh of its block
@@ -13,8 +14,9 @@ Initial hidden and cell states are zero.  Classification logits are a linear
 map of the final hidden state, bias-free by default.
 
 Inside the network the layers run gate-major, with the batch on the last
-axis.  A layer writes its input into a (T + 1, hidden + D + 1, N) operand
-buffer whose slot t holds ``[h_{t-1}; x_t; 1]``, and each step's gates are
+axis: ``_run`` hands the first layer a (T, D, N) view of the input.  A
+layer writes its input into a (T + 1, hidden + D + 1, N) operand buffer
+whose slot t holds ``[h_{t-1}; x_t; 1]``, and each step's gates are
 one product ``z = W.T @ ops[t]`` written straight into the (T, 4*hidden, N)
 gate cache: each gate is one dot product over the stacked rows, the bias
 included, with no separate input projection or bias pass.  ``h_t`` is
@@ -265,8 +267,6 @@ class _Layer:
 class LstmNetwork(Classifier):
     """Stacked LSTM layers plus a linear readout of the final hidden state."""
 
-    batch_axis = 1
-
     def __init__(
         self,
         input_dim: int,
@@ -321,8 +321,9 @@ class LstmNetwork(Classifier):
         return out
 
     def forward(self, x: np.ndarray):
-        """x is (T, N, input_dim); returns ((N, output_dim) logits, cache),
-        computed in float32 for float32 input and in float64 otherwise."""
+        """x is (N, T, input_dim) with T >= 1; returns ((N, output_dim)
+        logits, cache), computed in float32 for float32 input and in
+        float64 otherwise."""
         return self._run(x, keep=True)
 
     def _block_logits(self, x: np.ndarray) -> np.ndarray:
@@ -333,20 +334,20 @@ class LstmNetwork(Classifier):
         x = np.asarray(x)
         if x.dtype != np.float32:
             x = np.asarray(x, dtype=float)
-        if x.ndim != 3 or x.shape[2] != self.input_dim:
+        if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.input_dim:
             raise ConfigurationError(
-                f"expected (T, N, {self.input_dim}) input, got {x.shape}"
+                f"expected (N, T, {self.input_dim}) input with T >= 1, got {x.shape}"
             )
         caches = []
         # a (T, D, N) view: the layers run batch-last
-        seq = x.transpose(0, 2, 1)
+        seq = x.transpose(1, 2, 0)
         for layer in self.layers:
             seq, cache = layer.forward(seq, keep)
             caches.append(cache)
         h_final = seq[-1]
         W_out = self.W_out.astype(x.dtype, copy=False)
-        logits = np.empty((x.shape[1], self.output_dim), dtype=x.dtype)
-        for s in batch_blocks(x.shape[1]):
+        logits = np.empty((len(x), self.output_dim), dtype=x.dtype)
+        for s in batch_blocks(len(x)):
             # compact, like a forward of this block alone: a strided 1-shot column rounds otherwise
             np.matmul(np.ascontiguousarray(h_final[:, s]).T, W_out, out=logits[s])
         if self.b_out is not None:
@@ -357,7 +358,7 @@ class LstmNetwork(Classifier):
         """Gradients aligned with :meth:`param_arrays`, all float64; the
         products run in the dtype of the forward pass that made ``cache``."""
         caches, h_final, x_shape = cache
-        T, N, _ = x_shape
+        N, T, _ = x_shape
         dt = h_final.dtype
         W_out = self.W_out.astype(dt, copy=False)
         dl = dlogits.astype(dt, copy=False)

@@ -27,7 +27,7 @@ def train(
     """
     labels = np.asarray(labels, dtype=int)
     n = labels.shape[0]
-    if X.shape[model.batch_axis] != n:
+    if len(X) != n:
         raise ConfigurationError("sample count mismatch between inputs and labels")
     if weights is None:
         weights = np.ones(n)
@@ -50,7 +50,7 @@ def train(
         weight_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb = np.take(X, idx, axis=model.batch_axis)
+            xb = X[idx]
             yb = labels[idx]
             wb = weights[idx]
 

@@ -60,8 +60,8 @@ from .nn.lstm import LstmNetwork
 from .nn.optim import TrainConfig
 from .nn.serialize import HIDDEN, LSTM_HIDDEN, OUTPUT, OUTPUT_BIAS, load_model, save_model
 from .nn.train import train
-from .pathsig import batch_signature, path_transform
-from .sim import Dataset, RawShot, shot_format
+from .pathsig import batch_signature, path_transform, signature_length
+from .sim import STATES, Dataset, RawShot, shot_format
 
 _MAPPING = Field(lambda v: isinstance(v, Mapping), "a mapping")  # checked by its own table
 _FINITE = Field(is_finite_number, "a finite number", REQUIRED)
@@ -311,14 +311,11 @@ def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
     return preprocess_batch(shots, stages)
 
 
-def _model_inputs(desc: dict, arr: np.ndarray, lstm_dtype=np.float64):
-    """Map preprocessed output onto the model family's input layout; an
-    lstm's input is cast to ``lstm_dtype`` in the copy that transposes it."""
-    mkind = desc["model"]["kind"]
-    if mkind == "gmm":
+def _model_inputs(desc: dict, arr: np.ndarray):
+    """Map preprocessed output onto the model's input: the gmm and lstm
+    models take it as it is, a dense model its feature vectors."""
+    if desc["model"]["kind"] != "dense":
         return arr
-    if mkind == "lstm":
-        return np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=lstm_dtype)
     features = desc["model"]["features"]
     if features["type"] == "signature":
         return batch_signature(arr, features["order"])
@@ -403,7 +400,32 @@ class TrainedPipeline:
                 raise FileFormatError(
                     f"{sidecar} has no valid {key} ({field.rule}): {meta.get(key)!r}"
                 )
-        return cls(desc, model, meta["input_length"], meta["sample_rate"])
+        gmm = arch["kind"] == "gmm"
+        classes, takes = (
+            (arch["n_classes"], arch["dim"]) if gmm else (arch["output_dim"], arch["input_dim"])
+        )
+        if classes > len(STATES):
+            raise FileFormatError(
+                f"{path} holds a {classes}-class model; shots have {len(STATES)} states"
+            )
+        # the feature width, from the stages run on one zero trace; a
+        # signature's comes from its path width, so none is computed here
+        n, rate = meta["input_length"], meta["sample_rate"]
+        try:
+            probe = apply_stages(np.zeros((1, n)), rate, desc["stages"])
+        except ConfigurationError as e:
+            raise FileFormatError(f"{sidecar}'s stages fail on a {n}-sample trace: {e}") from e
+        features = desc["model"].get("features", {})
+        if features.get("type") == "signature":
+            width = signature_length(probe.shape[-1], features["order"])
+        else:
+            width = _model_inputs(desc, probe).shape[-1]
+        if width != takes:
+            raise FileFormatError(
+                f"{sidecar}'s stages give {width} features per shot; the model in {path} "
+                f"takes {takes}"
+            )
+        return cls(desc, model, n, rate)
 
 
 def train_pipeline(
@@ -422,7 +444,9 @@ def train_pipeline(
     """
     shots = list(dataset)
     desc = normalize_descriptor(descriptor)
-    X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]), lstm_dtype=np.float32)
+    X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]))
+    if desc["model"]["kind"] == "lstm":
+        X = X.astype(np.float32)  # rebinding frees the float64 array
     # preprocess_batch has checked that every shot shares the first's format
     input_length, sample_rate = len(shots[0].samples), shots[0].sample_rate
     labels = np.array([s.label for s in shots], dtype=int)

@@ -44,7 +44,7 @@ def test_a01_gradients_match_finite_differences(acceptance_log):
                 output=output,
                 seed=int(draw.integers(0, 2**31)),
             )
-            X = draw.normal(size=(steps, batch, din))
+            X = draw.normal(size=(steps, batch, din)).transpose(1, 0, 2)
         else:
             hidden = tuple(
                 int(draw.integers(1, 9)) for _ in range(int(draw.integers(1, 3)))

@@ -46,3 +46,18 @@ def test_instrumented_patches_and_restores_every_attribute(quiet_dataset):
         after = vars(owner)
         assert after.keys() == attrs.keys(), owner
         assert all(after[k] is v for k, v in attrs.items()), owner
+
+
+def test_traced_lstm_training_and_prediction_record_their_spans(quiet_dataset):
+    # the lstm wrappers read the forward's input shape and the backward's
+    # cache[2]; only a traced training run calls them
+    tracing = _load_tracing()
+    pipeline = OWNERS[3]
+    desc = {**pipeline.standard_pipelines()["lstm"], "train": {"epochs": 1}}
+    shots = quiet_dataset.shots[::15]
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        proba = pipeline.train_pipeline(shots, desc).predict_proba(shots)
+    assert proba.shape == (len(shots), 3) and np.isfinite(proba).all()
+    names = {span["name"] for span in tracer.spans}
+    assert {"nn.lstm.forward_train", "nn.lstm.backward", "nn.optim.adam"} <= names

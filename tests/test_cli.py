@@ -495,6 +495,14 @@ def _stray_model_field(meta):
     meta["pipeline"]["model"]["output"] = "softmax"
 
 
+def _lower_signature_order(meta):
+    meta["pipeline"]["model"]["features"]["order"] = 4
+
+
+def _bin_past_the_trace(meta):
+    meta["pipeline"]["stages"][-1]["size"] = 1000
+
+
 @pytest.mark.parametrize(
     "pipeline, edit, message",
     [
@@ -504,6 +512,8 @@ def _stray_model_field(meta):
         ("gmm", _lstm_descriptor, "describes a model other than"),
         ("quick", _wider_hidden, "describes a model other than"),
         ("gmm", _stray_model_field, "invalid pipeline descriptor"),
+        ("signature_dense", _lower_signature_order, "give 31 features per shot"),
+        ("quick", _bin_past_the_trace, "bin size 1000 exceeds the 400-step trajectory"),
     ],
     ids=[
         "missing",
@@ -512,12 +522,14 @@ def _stray_model_field(meta):
         "gmm-file-lstm-descriptor",
         "hidden-mismatch",
         "unknown-descriptor-field",
+        "signature-order-mismatch",
+        "bin-past-the-trace",
     ],
 )
 def test_model_sidecar_faults_exit_4(workdir, capsys, pipeline, edit, message):
     data = simulate(workdir)
     model = workdir / "m.rkm"
-    spec = "gmm" if pipeline == "gmm" else str(workdir / "pipeline.json")
+    spec = str(workdir / "pipeline.json") if pipeline == "quick" else pipeline
     assert main(["train", "--data", str(data), "--pipeline", spec, "--out", str(model)]) == 0
     sidecar = workdir / "m.rkm.json"
     if edit is None:
@@ -529,6 +541,39 @@ def test_model_sidecar_faults_exit_4(workdir, capsys, pipeline, edit, message):
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "arch, params",
+    [
+        # every parameter zero but the bias of class 3, which every shot then takes
+        pytest.param(
+            {**LSTM_ARCH, "hidden": [8], "output_dim": 4, "output_bias": True},
+            np.r_[np.zeros(lstm_param_count(2, [8], 4, True) - 1), 1.0],
+            id="lstm",
+        ),
+        # unit covariances at one mean: class 3 takes every point by its prior
+        pytest.param(
+            {**GMM_ARCH, "n_classes": 4},
+            np.concatenate([np.zeros(8), np.tile([1.0, 0.0, 0.0, 1.0], 4), [0.1, 0.1, 0.1, 0.7]]),
+            id="gmm",
+        ),
+    ],
+)
+def test_model_with_more_classes_than_states_exits_4(workdir, capsys, arch, params):
+    # a valid sidecar, from a model trained with the same descriptor
+    data = simulate(workdir)
+    spec = "gmm"
+    if arch["kind"] == "lstm":
+        spec = workdir / "biased.json"
+        model_block = {**QUICK_PIPELINE["model"], "output_bias": True}
+        spec.write_text(json.dumps({**QUICK_PIPELINE, "model": model_block}))
+    model = workdir / "m.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", str(spec), "--out", str(model)]) == 0
+    model.write_bytes(_model_file(arch, params))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "holds a 4-class model; shots have 3 states" in capsys.readouterr().err
 
 
 def test_compare_rejects_sidecar_that_does_not_reproduce(workdir, capsys):

@@ -74,13 +74,13 @@ def _reference_layer_forward(layer, x):
 
 def _reference_forward(model, x):
     caches = []
-    seq = x.transpose(0, 2, 1)
+    seq = x.transpose(1, 2, 0)
     for layer in model.layers:
         seq, cache = _reference_layer_forward(layer, seq)
         caches.append(cache)
     h_final = seq[-1]
-    logits = np.empty((x.shape[1], model.output_dim), dtype=x.dtype)
-    for s in batch_blocks(x.shape[1]):
+    logits = np.empty((len(x), model.output_dim), dtype=x.dtype)
+    for s in batch_blocks(len(x)):
         logits[s] = h_final[:, s].T @ model.W_out.astype(x.dtype)
     if model.b_out is not None:
         logits = logits + model.b_out.astype(x.dtype)
@@ -185,7 +185,7 @@ def _trained_looking_model(hidden, output, seed):
 def _assert_fused_matches_per_gate(n, hidden, output, dtype):
     model = _trained_looking_model(hidden, output, seed=n)
     rng = np.random.default_rng(n)
-    x = rng.normal(0.0, 2.0, (50, n, 2)).astype(dtype)
+    x = rng.normal(0.0, 2.0, (50, n, 2)).astype(dtype).transpose(1, 0, 2)
     labels = rng.integers(0, 3, n)
 
     logits, cache = model.forward(x)
@@ -240,7 +240,7 @@ def test_float32_agrees_with_float64_on_the_same_weights(n, hidden, output):
     model = _trained_looking_model(hidden, output, seed=n)
     rng = np.random.default_rng(n)
     # float32 values, so the two runs differ only in their arithmetic
-    x = rng.normal(0.0, 2.0, (50, n, 2)).astype(np.float32)
+    x = rng.normal(0.0, 2.0, (50, n, 2)).astype(np.float32).transpose(1, 0, 2)
     labels = rng.integers(0, 3, n)
     results = []
     for xx in (x, x.astype(np.float64)):
@@ -255,7 +255,7 @@ def test_float32_agrees_with_float64_on_the_same_weights(n, hidden, output):
 def test_float32_training_step_keeps_float64_gradients_and_parameters():
     model = _trained_looking_model((16, 8), "softmax", seed=2)
     rng = np.random.default_rng(2)
-    x = rng.normal(0.0, 2.0, (20, 300, 2)).astype(np.float32)
+    x = rng.normal(0.0, 2.0, (20, 300, 2)).astype(np.float32).transpose(1, 0, 2)
     logits, cache = model.forward(x)
     assert logits.dtype == np.float32
     caches, h_final, _ = cache
@@ -286,7 +286,7 @@ def test_gate_major_agrees_with_row_major_layout(n, hidden, output):
     labels = rng.integers(0, 3, n)
     ref_logits, ref_grads = _row_major_forward_backward(model, x, labels)
 
-    logits, cache = model.forward(x)
+    logits, cache = model.forward(x.transpose(1, 0, 2))
     assert _rel_dev(logits, ref_logits) <= 1e-12
     _, dlogits = weighted_cross_entropy(logits, labels, np.ones(n), output=output)
     grads = model.backward(cache, dlogits)
@@ -309,14 +309,14 @@ def test_gate_major_agrees_with_row_major_layout(n, hidden, output):
 def test_fused_forward_leaves_parameters_untouched():
     model = _trained_looking_model((16,), "softmax", seed=3)
     before = [p.copy() for p in model.param_arrays()]
-    model.forward(np.random.default_rng(3).normal(size=(20, 5, 2)))
+    model.forward(np.random.default_rng(3).normal(size=(20, 5, 2)).transpose(1, 0, 2))
     for p, q in zip(model.param_arrays(), before):
         assert np.array_equal(p, q)
 
 
 def test_bottom_layer_skips_only_the_unused_input_gradient():
     model = _trained_looking_model((16, 8), "softmax", seed=5)
-    x = np.random.default_rng(5).normal(0.0, 2.0, (30, 9, 2))
+    x = np.random.default_rng(5).normal(0.0, 2.0, (30, 9, 2)).transpose(1, 0, 2)
     _, (caches, _, _) = model.forward(x)
     dh_seq = np.random.default_rng(6).normal(size=(30, 16, 9))
     layer = model.layers[0]
@@ -330,7 +330,7 @@ def test_bottom_layer_skips_only_the_unused_input_gradient():
 def test_named_parameters_stay_views_of_the_stacked_block(tmp_path):
     model = _trained_looking_model((16, 8), "softmax", seed=11)
     rng = np.random.default_rng(11)
-    x = rng.normal(0.0, 2.0, (20, 40, 2))
+    x = rng.normal(0.0, 2.0, (20, 40, 2)).transpose(1, 0, 2)
     logits, cache = model.forward(x)
     _, dlogits = weighted_cross_entropy(logits, rng.integers(0, 3, 40), output="softmax")
     before = [layer.W.copy() for layer in model.layers]

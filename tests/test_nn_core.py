@@ -141,7 +141,7 @@ def test_lstm_forward_matches_scalar_reference():
         h = sg(zo) * math.tanh(c)
     expected = h * model.W_out[0, 0] + model.b_out[0]
 
-    logits, _ = model.forward(np.array(xs).reshape(3, 1, 1))
+    logits, _ = model.forward(np.array(xs).reshape(1, 3, 1))
     assert abs(logits[0, 0] - expected) < 1e-12
 
 
@@ -165,10 +165,10 @@ def test_lstm_init_respects_fan_in_bounds():
 def test_lstm_batch_independence(rng):
     # each batch element's logits must not depend on its neighbors
     model = LstmNetwork(2, (5,), 3, seed=1)
-    X = rng.normal(size=(7, 4, 2))
+    X = rng.normal(size=(7, 4, 2)).transpose(1, 0, 2)
     full, _ = model.forward(X)
     for k in range(4):
-        single, _ = model.forward(X[:, k : k + 1, :])
+        single, _ = model.forward(X[k : k + 1])
         assert np.allclose(single[0], full[k], atol=1e-12)
 
 
@@ -181,6 +181,14 @@ def test_lstm_rejects_wrong_feature_width():
     for bad in (np.zeros((5, 3, 1)), np.zeros(5)):
         with pytest.raises(ConfigurationError):
             model.predict(bad)
+
+
+def test_lstm_rejects_input_without_time_steps():
+    model = LstmNetwork(2, (4,), 3)
+    with pytest.raises(ConfigurationError, match="T >= 1"):
+        model.forward(np.zeros((5, 0, 2)))
+    with pytest.raises(ConfigurationError, match="T >= 1"):
+        model.predict_logits(np.zeros((5, 0, 2)))
 
 
 def test_dense_forward_matches_manual_composition(rng):
@@ -313,7 +321,7 @@ def test_training_reduces_loss_lstm(rng):
     T, n = 12, 30
     up = np.cumsum(rng.normal(0.2, 0.5, (T, n, 1)), axis=0)
     down = np.cumsum(rng.normal(-0.2, 0.5, (T, n, 1)), axis=0)
-    X = np.concatenate([down, up], axis=1)
+    X = np.concatenate([down, up], axis=1).transpose(1, 0, 2)
     y = np.array([0] * n + [1] * n)
     model = LstmNetwork(1, (6,), 2, seed=1)
     hist = train(

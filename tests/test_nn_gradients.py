@@ -27,7 +27,7 @@ def random_case(rng, kind):
             output=output,
             seed=int(rng.integers(0, 10000)),
         )
-        X = rng.normal(size=(T, n, d))
+        X = rng.normal(size=(T, n, d)).transpose(1, 0, 2)
     else:
         d = int(rng.integers(2, 7))
         depth = int(rng.integers(1, 4))
@@ -54,7 +54,6 @@ def test_gradcheck_catches_a_broken_gradient(rng):
     model = DenseNetwork(3, (4,), 2, seed=0)
 
     class Broken:
-        batch_axis = 0
         output = "softmax"
 
         def param_arrays(self):
@@ -77,7 +76,7 @@ def test_gradcheck_catches_a_broken_gradient(rng):
 def test_full_reference_sequence_model_grads(rng):
     # the stock trajectory classifier: 2 inputs, 16 units, 3 classes
     model = LstmNetwork(2, (16,), 3, seed=5)
-    X = rng.normal(size=(20, 6, 2))
+    X = rng.normal(size=(20, 6, 2)).transpose(1, 0, 2)
     labels = rng.integers(0, 3, 6)
     err = gradient_check(model, X, labels, n_checks=60, seed=2)
     assert err < TOL
@@ -87,7 +86,7 @@ def test_gradcheck_runs_float32_input_on_the_float64_path(rng):
     # central differences of float32 arithmetic are rounding noise at this
     # step size, so the check casts X to float64 first
     model = LstmNetwork(2, (16,), 3, seed=5)
-    X = rng.normal(size=(20, 6, 2)).astype(np.float32)
+    X = rng.normal(size=(20, 6, 2)).astype(np.float32).transpose(1, 0, 2)
     labels = rng.integers(0, 3, 6)
     err32 = gradient_check(model, X, labels, n_checks=60, seed=2)
     err64 = gradient_check(model, X.astype(np.float64), labels, n_checks=60, seed=2)
@@ -105,7 +104,7 @@ def test_feature_model_grads_with_weights(rng):
 
 def test_gradients_flow_to_every_parameter_tensor(rng):
     model = LstmNetwork(2, (4, 3), 3, output_bias=True, seed=7)
-    X = rng.normal(size=(6, 5, 2))
+    X = rng.normal(size=(6, 5, 2)).transpose(1, 0, 2)
     labels = rng.integers(0, 3, 5)
     logits, cache = model.forward(X)
     _, dlogits = weighted_cross_entropy(logits, labels)

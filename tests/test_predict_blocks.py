@@ -1,7 +1,7 @@
 """Prediction runs the networks over fixed blocks of shots.
 
 ``predict_logits`` splits its input into views of at most ``BATCH_BLOCK``
-shots along the network's batch axis and takes each block's logits from
+shots along axis 0 and takes each block's logits from
 the network's ``_block_logits``.  The lstm's runs the same step loop as
 ``forward`` in its prediction layout: one gate, cell and tanh(cell) buffer
 reused at every step instead of the training caches, so prediction holds
@@ -25,7 +25,7 @@ from readoutkit.nn.loss import BATCH_BLOCK
 
 
 def _inputs(T, N, seed=0):
-    return np.random.default_rng(seed).normal(size=(T, N, 2))
+    return np.random.default_rng(seed).normal(size=(T, N, 2)).transpose(1, 0, 2)
 
 
 def _relative(a, b):
@@ -74,7 +74,7 @@ def test_prediction_layout_is_the_bytes_of_forward(N, hidden, dtype):
     # one step loop, two buffer layouts: the prediction layout reuses one
     # gate, cell and tanh(cell) buffer per step, updating the cell in place
     model = LstmNetwork(input_dim=3, hidden=hidden, seed=N)
-    x = np.random.default_rng(N).normal(size=(11, N, 3)).astype(dtype)
+    x = np.random.default_rng(N).normal(size=(11, N, 3)).astype(dtype).transpose(1, 0, 2)
     whole, _ = model.forward(x)
     assert model._block_logits(x).tobytes() == whole.tobytes()
     if dtype is np.float64:

@@ -53,7 +53,7 @@ batch_size, per_state = int(sys.argv[1]), int(sys.argv[2])
 shots = rk.generate_dataset(rk.SimConfig(seed=7), shots_per_state=per_state).shots
 desc = rk.standard_pipelines()["lstm"]
 arr = rk.preprocess_batch(shots, desc["stages"])
-X = np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=np.float64)
+X = np.asarray(arr, dtype=np.float64)
 labels = np.array([s.label for s in shots])
 model = rk.LstmNetwork(input_dim=X.shape[-1], hidden=(16,), output_dim=3, seed=0)
 config = rk.TrainConfig(epochs=2, batch_size=batch_size, learning_rate=1e-3, seed=0)
