@@ -126,7 +126,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     dataset = load_dataset(args.data)
-    if dataset.config is not None and len(dataset) % 3 == 0:
+    if dataset.config is not None:
         # ground truth for the disagreement forensics; a sidecar that does
         # not reproduce the data is an error, not a reason to go without
         regenerate_paths(dataset.config, len(dataset) // 3, shots=dataset.shots)

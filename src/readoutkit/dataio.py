@@ -9,7 +9,7 @@ Dataset layout (little-endian):
     f64           sample rate (samples per ns); positive and finite, and the
                   sidecar config's ``sample_rate`` when the sidecar has one
     per shot      u8 label (0-2), u8 herald flag (0-1), f32 samples: one
-                  ``_record_dtype(n)`` record; a load reads them all into one
+                  ``record_dtype(n)`` record; a load reads them all into one
                   block, and each shot's ``samples`` is a writable row of it
 
 A ``<name>.json`` sidecar written next to the file records the generating
@@ -49,8 +49,14 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(path).with_suffix(Path(path).suffix + ".json")
 
 
-def _record_dtype(n_samples: int) -> np.dtype:
-    return np.dtype([("label", "u1"), ("herald", "u1"), ("samples", "<f4", (n_samples,))])
+def record_dtype(n_samples: int, where: str | Path) -> np.dtype:
+    """One shot's record; ``FileFormatError``, naming ``where``, for a
+    length no record can hold (numpy caps one at 2 GiB, so it refuses
+    536870912 samples and more without allocating)."""
+    try:
+        return np.dtype([("label", "u1"), ("herald", "u1"), ("samples", "<f4", (n_samples,))])
+    except ValueError as e:
+        raise FileFormatError(f"{where}: records of {n_samples} samples are too large") from e
 
 
 def read_sidecar(sidecar: Path, what: str) -> dict:
@@ -80,7 +86,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         raise DataError(
             f"shots are sampled at {rate!r}, the config at {dataset.config.sample_rate!r}"
         )
-    dtype = _record_dtype(n_samples)
+    dtype = record_dtype(n_samples, path)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(shots), n_samples, rate))
         for start in range(0, len(shots), _SAVE_BLOCK_ROWS):
@@ -126,10 +132,7 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
         raise FileFormatError(
             f"{path}: header sample rate {rate!r} is not a finite positive number"
         )
-    try:
-        dtype = _record_dtype(n_samples)
-    except ValueError as e:  # numpy caps a record at 2 GiB
-        raise FileFormatError(f"{path}: records of {n_samples} samples are too large") from e
+    dtype = record_dtype(n_samples, path)
     if count == 0:  # well formed, but nothing any command can use; never saved
         raise DataError(f"{path} holds no shots")
     records = np.fromfile(path, dtype=dtype, count=count, offset=_HEADER.size)

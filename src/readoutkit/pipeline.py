@@ -27,7 +27,8 @@ with ``bandpass`` runs on its in-band DFT bins: one ``rfft`` per trace, a
 gather of the bins :func:`dsp.band_bins` keeps, and a sum of their real
 and imaginary parts against the response of the rest of the list to each
 bin's basis tone.  The responses come from the per-sample code itself, run
-once on the basis tones and cached per stage list, trace length and rate.
+once on the basis tones and cached per stage list (keyed by its canonical
+JSON on every call, so an edited list gets its own), trace length and rate.
 Every stage after the bandpass is linear, so this is the same map and
 agrees with the per-sample chain to rounding, without the complex FFT pair
 and the per-sample mixing.  The sum adds the terms in coefficient index
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dataio import canonical_json, read_sidecar, sidecar_path
+from .dataio import canonical_json, read_sidecar, record_dtype, sidecar_path
 from .errors import NON_NEGATIVE, POSITIVE, REQUIRED, SIZE, ConfigurationError, DataError
 from .errors import Field, FileFormatError, IncompatibilityError, check, is_finite_number, is_size
 from .gmm import GmmClassifier
@@ -168,20 +169,10 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]) ->
     x = np.asarray(samples, dtype=float)
     fold = None
     if stages and stages[0]["op"] == "bandpass":
-        key = stages.key if isinstance(stages, _KeyedStages) else canonical_json(stages)
-        fold = _band_response(key, x.shape[-1], sample_rate)
+        fold = _band_response(canonical_json(stages), x.shape[-1], sample_rate)
     if fold is None:
         return _apply_per_sample(x, sample_rate, stages)
     return _fold(x, *fold)
-
-
-class _KeyedStages(list):
-    """A private copy of a stage list and its canonical JSON, the fold's
-    response key, worked out once instead of on every block."""
-
-    def __init__(self, stages: list[dict]):
-        super().__init__(copy.deepcopy(stages))
-        self.key = canonical_json(self)
 
 
 def _apply_per_sample(x: np.ndarray, rate: float, stages: list[dict]) -> np.ndarray:
@@ -271,7 +262,8 @@ def _fold(x: np.ndarray, bins: np.ndarray, response: np.ndarray) -> np.ndarray:
 
 def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
     """Stage application over many shots, ``BATCH_BLOCK`` shots at a time,
-    each block written into one preallocated output.
+    each block stacked straight into float64 (exact for float32 samples)
+    and its result written into one preallocated output.
 
     Returns the same array as :func:`apply_stages`, the batch axis first.
     Blocking bounds peak memory; results are identical to one big call
@@ -290,13 +282,11 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
         raise DataError("the shots have no samples")
     out = None
     for s in batch_blocks(len(shots)):
-        block = np.stack([shot.samples for shot in shots[s]])
+        block = np.stack([shot.samples for shot in shots[s]], dtype=float)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             k = s.start + int(np.argmin(finite))
             raise DataError(f"shot {k} (shot_id {shots[k].shot_id}) has non-finite samples")
-        # rebinding frees the float32 stack before the stages run
-        block = block.astype(float)
         block = apply_stages(block, rate, stages)
         if out is None:
             out = np.empty((len(shots),) + block.shape[1:], dtype=block.dtype)
@@ -324,19 +314,14 @@ def _model_inputs(desc: dict, arr: np.ndarray):
 
 @dataclass
 class TrainedPipeline:
-    """A fitted pipeline: descriptor plus the trained model object.
-
-    The fold's response key is worked out from the descriptor's stage list
-    when the pipeline is built or loaded; a prediction compares the list
-    with that key's copy, so an edit made since takes a new key."""
+    """A fitted pipeline: descriptor, trained model, and the trace length
+    and sample rate it was trained at.  It holds nothing derived from them,
+    so a prediction runs the descriptor as it stands."""
 
     descriptor: dict
     model: object
     input_length: int
     sample_rate: float
-
-    def __post_init__(self):
-        self._stages = _KeyedStages(self.descriptor["stages"])
 
     @property
     def name(self) -> str:
@@ -355,9 +340,7 @@ class TrainedPipeline:
                 raise IncompatibilityError(
                     f"pipeline was trained on shots at {self.sample_rate} samples/ns, got {rate}"
                 )
-        if self._stages != self.descriptor["stages"]:
-            self._stages = _KeyedStages(self.descriptor["stages"])
-        return _model_inputs(self.descriptor, preprocess_batch(shots, self._stages))
+        return _model_inputs(self.descriptor, preprocess_batch(shots, self.descriptor["stages"]))
 
     def predict(self, shots: list[RawShot]) -> np.ndarray:
         return self.model.predict(self._inputs(shots))
@@ -408,9 +391,11 @@ class TrainedPipeline:
             raise FileFormatError(
                 f"{path} holds a {classes}-class model; shots have {len(STATES)} states"
             )
-        # the feature width, from the stages run on one zero trace; a
-        # signature's comes from its path width, so none is computed here
+        # the feature width, from the stages run on one zero trace of a
+        # length some dataset record holds; a signature's comes from its
+        # path width, so none is computed here
         n, rate = meta["input_length"], meta["sample_rate"]
+        record_dtype(n, f"{sidecar} input_length")
         try:
             probe = apply_stages(np.zeros((1, n)), rate, desc["stages"])
         except ConfigurationError as e:

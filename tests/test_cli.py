@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from readoutkit import Dataset, RawShot, lstm_param_count, save_dataset
+from readoutkit import Dataset, RawShot, load_dataset, lstm_param_count, save_dataset
 from readoutkit.cli import main
 
 
@@ -503,6 +503,10 @@ def _bin_past_the_trace(meta):
     meta["pipeline"]["stages"][-1]["size"] = 1000
 
 
+def _input_length_no_record_holds(meta):
+    meta["input_length"] = 2**45
+
+
 @pytest.mark.parametrize(
     "pipeline, edit, message",
     [
@@ -514,6 +518,7 @@ def _bin_past_the_trace(meta):
         ("gmm", _stray_model_field, "invalid pipeline descriptor"),
         ("signature_dense", _lower_signature_order, "give 31 features per shot"),
         ("quick", _bin_past_the_trace, "bin size 1000 exceeds the 400-step trajectory"),
+        ("gmm", _input_length_no_record_holds, "records of 35184372088832 samples are too large"),
     ],
     ids=[
         "missing",
@@ -524,6 +529,7 @@ def _bin_past_the_trace(meta):
         "unknown-descriptor-field",
         "signature-order-mismatch",
         "bin-past-the-trace",
+        "input-length-no-record-holds",
     ],
 )
 def test_model_sidecar_faults_exit_4(workdir, capsys, pipeline, edit, message):
@@ -586,6 +592,18 @@ def test_compare_rejects_sidecar_that_does_not_reproduce(workdir, capsys):
     rc = main(["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")])
     assert rc == 2
     assert "does not reproduce" in capsys.readouterr().err
+
+
+def test_compare_rejects_a_shot_count_the_config_cannot_give(workdir, capsys):
+    # 89 shots saved with their 30-per-state config: regeneration refuses
+    # them rather than compare going on without ground truth
+    data = simulate(workdir)
+    dataset = load_dataset(data)
+    save_dataset(Dataset(shots=dataset.shots[:89], config=dataset.config), data)
+    capsys.readouterr()
+    rc = main(["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")])
+    assert rc == 2
+    assert "expected 87 shots, got 89" in capsys.readouterr().err
 
 
 def test_compare_rejects_a_label_the_config_does_not_reproduce(workdir, capsys):

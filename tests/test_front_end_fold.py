@@ -286,8 +286,8 @@ def test_single_shot_equals_its_row_in_any_chunk(chunk):
 
 
 def test_an_edited_stage_list_cannot_get_the_old_response(shots, block):
-    # the response is cached by the stage list's canonical JSON: a plain
-    # list is keyed on every call, a pipeline's once and again after an edit
+    # the response is cached by the stage list's canonical JSON, worked out
+    # on every call, for a plain list and a pipeline's descriptor alike
     stages = [bp(0.1, 0.005), demod(), {"op": "bin", "size": 40}]
     first = apply_stages(block, 2.0, stages)
     stages[0]["half_width"] = 0.02

@@ -259,6 +259,9 @@ def test_pipeline_save_load_roundtrip(tmp_path, quiet_dataset):
         proba_a = fitted.predict_proba(probe)
         proba_b = loaded.predict_proba(probe)
         assert np.allclose(proba_a, proba_b, atol=1e-12)
+        # a pipeline is plain data: its four fields, nothing derived beside them
+        fields = {"descriptor", "model", "input_length", "sample_rate"}
+        assert vars(fitted).keys() == vars(loaded).keys() == fields
 
 
 def test_descriptor_with_numpy_scalars_saves_as_plain_values(tmp_path, quiet_dataset):
@@ -389,6 +392,16 @@ def test_pipeline_load_rejects_corrupt_sidecar(tmp_path, quiet_dataset, content)
     fitted.save(path)
     (tmp_path / "gmm.rkm.json").write_bytes(content)
     with pytest.raises(FileFormatError, match="not valid JSON"):
+        TrainedPipeline.load(path)
+
+
+def test_pipeline_load_refuses_an_input_length_no_record_holds(tmp_path, quiet_dataset):
+    # the dataset record rule refuses the length before the stages run on a
+    # zero trace of it, which at 2**45 float64 samples would be 256 TiB
+    fitted = train_pipeline(quiet_dataset, standard_pipelines()["gmm"])
+    path = tmp_path / "gmm.rkm"
+    fitted.save(path, extra_meta={"input_length": 2**45})
+    with pytest.raises(FileFormatError, match="records of 35184372088832 samples are too large"):
         TrainedPipeline.load(path)
 
 
