@@ -18,10 +18,11 @@ from .errors import (
     ReadoutKitError,
 )
 from .evaluation import (
-    DisagreementRecord,
+    Comparison,
     DisagreementReport,
     EvalReport,
     binomial_stderr,
+    compare_pipelines,
     confusion_table,
     disagreements,
     evaluate,
@@ -44,10 +45,8 @@ from .nn import (
     train,
 )
 from .pathsig import (
-    SignatureVector,
     batch_signature,
     path_transform,
-    signature,
     signature_length,
     trajectory_signature,
 )

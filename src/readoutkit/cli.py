@@ -139,18 +139,14 @@ def cmd_compare(args) -> int:
     baseline = pl.train_pipeline(train_shots, desc_baseline)
     primary = pl.train_pipeline(train_shots, desc_primary, log_fn=_log_epoch)
 
-    rep_b = evaluation.evaluate(baseline, test_shots)
-    rep_p = evaluation.evaluate(primary, test_shots)
+    cfg = dataset.config or SimConfig()
+    comparison = evaluation.compare_pipelines(primary, baseline, test_shots, cfg.f_if)
+    rep_p, rep_b = comparison.primary, comparison.baseline
     print()
     print(evaluation.fidelity_table([rep_b, rep_p]))
-    gap = rep_p.average - rep_b.average
-    print(f"\naverage fidelity gap ({rep_p.name} - {rep_b.name}): {gap:+.4f}")
-
-    cfg = dataset.config or SimConfig()
-    dis = evaluation.disagreements(
-        test_shots, rep_p.predictions, rep_b.predictions, frequency=cfg.f_if
-    )
-    summary = dis.summary()
+    gap_text = f"{comparison.gap:+.4f} +/- {comparison.gap_stderr:.4f} (paired stderr)"
+    print(f"\naverage fidelity gap ({rep_p.name} - {rep_b.name}): {gap_text}")
+    summary = comparison.disagreements.summary()
     print(f"shots only {rep_p.name} got right: {summary['primary_only_correct']}")
     print(f"shots only {rep_b.name} got right: {summary['baseline_only_correct']}")
     print(f"shots both missed: {summary['both_wrong']}")
@@ -175,10 +171,7 @@ def cmd_compare(args) -> int:
 
     if args.out:
         payload = {
-            "baseline": rep_b.to_dict(),
-            "primary": rep_p.to_dict(),
-            "gap": gap,
-            "disagreements": summary,
+            **comparison.to_dict(),
             "latency_ms": latency_ms,
             "latency_p90_ms": latency_p90_ms,
         }

@@ -2,8 +2,9 @@
 
 Fidelity is per-prepared-state classification accuracy; the headline number
 is the unweighted mean over the three states, quoted with a pooled binomial
-standard error.
-"""
+standard error.  :func:`compare_pipelines` makes the paper's comparison: two
+pipelines' reports on one test set, the gap with its paired standard error,
+and the shots each model alone got right."""
 
 from __future__ import annotations
 
@@ -106,42 +107,40 @@ def report_from_predictions(
 
 
 @dataclass
-class DisagreementRecord:
-    """One test shot on which the two classifiers did not both succeed."""
-
-    index: int
-    label: int
-    primary_pred: int
-    baseline_pred: int
-    point: tuple[float, float]
-    had_transition: bool | None
-
-
-@dataclass
 class DisagreementReport:
-    """Shots split by which classifier (if either) got them right."""
+    """Test shots split by which classifier (if either) got them right, as
+    index arrays into the test set, beside its labels, plain integrated I-Q
+    points (n, 2) and transition flags (bool; ``None`` without ground-truth
+    paths).  It holds no reference to the shots."""
 
-    primary_only_correct: list[DisagreementRecord]
-    baseline_only_correct: list[DisagreementRecord]
-    both_wrong: list[DisagreementRecord]
+    labels: np.ndarray
+    points: np.ndarray
+    transitions: np.ndarray | None
+    primary_only_correct: np.ndarray
+    baseline_only_correct: np.ndarray
+    both_wrong: np.ndarray
+
+    def primary_only_transitions(self) -> int | None:
+        """How many shots only the primary model classified correctly had a
+        mid-readout transition; ``None`` without ground-truth paths."""
+        if self.transitions is not None:
+            return int(np.count_nonzero(self.transitions[self.primary_only_correct]))
+        return None
 
     def transition_fraction(self) -> float | None:
         """Among shots only the primary model classified correctly, the
         fraction whose true state path left its initial state mid-readout.
         ``None`` when ground-truth paths are unavailable or the set is
         empty."""
-        recs = self.primary_only_correct
-        if not recs or any(r.had_transition is None for r in recs):
-            return None
-        return float(np.mean([r.had_transition for r in recs]))
+        hits, wins = self.primary_only_transitions(), len(self.primary_only_correct)
+        return None if hits is None or not wins else hits / wins
 
     def summary(self) -> dict:
-        frac = self.transition_fraction()
         return {
             "primary_only_correct": len(self.primary_only_correct),
             "baseline_only_correct": len(self.baseline_only_correct),
             "both_wrong": len(self.both_wrong),
-            "primary_only_transition_fraction": frac,
+            "primary_only_transition_fraction": self.transition_fraction(),
         }
 
 
@@ -151,37 +150,69 @@ def disagreements(
     baseline_preds: np.ndarray,
     frequency: float,
 ) -> DisagreementReport:
-    """Partition the test set by correctness of the two classifiers.
-
-    Records carry each shot's plain integrated I-Q point, an ``(i, q)``
-    pair of floats (for plotting), and whether its ground-truth path
-    contains a transition, when paths are attached.
-    """
+    """Partition the test set by correctness of the two classifiers."""
     labels = np.array([s.label for s in shots], dtype=int)
     primary_preds = np.asarray(primary_preds, dtype=int)
     baseline_preds = np.asarray(baseline_preds, dtype=int)
     if not (len(labels) == len(primary_preds) == len(baseline_preds)):
         raise ConfigurationError("prediction vectors must match the shot list")
-    pts = integrated_points(shots, frequency)
-
-    def record(k: int) -> DisagreementRecord:
-        s = shots[k]
-        return DisagreementRecord(
-            index=k,
-            label=int(labels[k]),
-            primary_pred=int(primary_preds[k]),
-            baseline_pred=int(baseline_preds[k]),
-            point=(float(pts[k, 0]), float(pts[k, 1])),
-            had_transition=None if s.true_path is None else s.true_path.has_transition,
-        )
-
+    paths = [s.true_path for s in shots]
+    transitions = None if None in paths else np.array([p.has_transition for p in paths])
     p_ok = primary_preds == labels
     b_ok = baseline_preds == labels
     return DisagreementReport(
-        primary_only_correct=[record(k) for k in np.flatnonzero(p_ok & ~b_ok)],
-        baseline_only_correct=[record(k) for k in np.flatnonzero(~p_ok & b_ok)],
-        both_wrong=[record(k) for k in np.flatnonzero(~p_ok & ~b_ok)],
+        labels=labels,
+        points=integrated_points(shots, frequency),
+        transitions=transitions,
+        primary_only_correct=np.flatnonzero(p_ok & ~b_ok),
+        baseline_only_correct=np.flatnonzero(~p_ok & b_ok),
+        both_wrong=np.flatnonzero(~p_ok & ~b_ok),
     )
+
+
+@dataclass
+class Comparison:
+    """Two trained pipelines scored on the same test shots."""
+
+    primary: EvalReport
+    baseline: EvalReport
+    disagreements: DisagreementReport
+
+    @property
+    def gap(self) -> float:
+        return self.primary.average - self.baseline.average
+
+    @property
+    def gap_stderr(self) -> float:
+        """Paired standard error of the gap (McNemar, *Psychometrika* 12,
+        1947): with b_s primary-only and c_s baseline-only wins among the n_s
+        shots of state s, ``sqrt(sum_s (b_s + c_s - (b_s - c_s)**2 / n_s) /
+        n_s**2) / 3``, as the average weights the states equally."""
+        dis = self.disagreements
+        n = np.bincount(dis.labels, minlength=len(STATES))
+        b = np.bincount(dis.labels[dis.primary_only_correct], minlength=len(STATES))
+        c = np.bincount(dis.labels[dis.baseline_only_correct], minlength=len(STATES))
+        return float(np.sqrt(np.sum((b + c - (b - c) ** 2 / n) / n**2)) / len(STATES))
+
+    def to_dict(self) -> dict:
+        return {
+            "baseline": self.baseline.to_dict(),
+            "primary": self.primary.to_dict(),
+            "gap": self.gap,
+            "gap_stderr": self.gap_stderr,
+            "disagreements": self.disagreements.summary(),
+        }
+
+
+def compare_pipelines(
+    primary: TrainedPipeline, baseline: TrainedPipeline, shots: list[RawShot], frequency: float
+) -> Comparison:
+    """Evaluate both pipelines once on ``shots`` and partition the shots by
+    which of them got each right; ``frequency`` demodulates the integrated
+    points the disagreement report keeps."""
+    rep_b, rep_p = evaluate(baseline, shots), evaluate(primary, shots)
+    dis = disagreements(shots, rep_p.predictions, rep_b.predictions, frequency)
+    return Comparison(primary=rep_p, baseline=rep_b, disagreements=dis)
 
 
 def fidelity_table(reports: list[EvalReport]) -> str:

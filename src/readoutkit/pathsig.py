@@ -13,8 +13,6 @@ elementwise calls is one contiguous pass over all paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, is_integer
@@ -52,47 +50,13 @@ def signature_length(dim: int, order: int) -> int:
     return (dim ** (order + 1) - 1) // (dim - 1)
 
 
-def _split_levels(flat: np.ndarray, dim: int, order: int) -> list[np.ndarray]:
-    """Views of levels 0..order, which lie one after another along the
-    first axis of ``flat``."""
-    ends = np.cumsum([dim**k for k in range(order + 1)])
-    return np.split(flat, ends[:-1])
-
-
-@dataclass
-class SignatureVector:
-    """Truncated signature as per-level tensors.
-
-    ``levels[k]`` has shape ``(dim,) * k``; level 0 is the scalar 1.
-    """
-
-    levels: list[np.ndarray]
-
-    def flatten(self) -> np.ndarray:
-        """Level-major 1-D layout: level 0, then level 1's dim entries,
-        then level 2's dim**2 entries in C order, and so on."""
-        return np.concatenate([lvl.reshape(-1) for lvl in self.levels])
-
-
-def signature(points: np.ndarray, order: int) -> SignatureVector:
-    """Truncated signature of the piecewise-linear path through ``points``.
-
-    ``points`` is (n, dim) with n >= 1.  A single point (or coincident
-    points) yields the trivial signature (1, 0, 0, ...).  Computed as a
-    batch of one by :func:`batch_signature` and split into its levels.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ConfigurationError("signature expects an (n, dim) point array")
-    dim = pts.shape[1]
-    flat = batch_signature(pts[None], order)[0]
-    levels = [lvl.reshape((dim,) * k) for k, lvl in enumerate(_split_levels(flat, dim, order))]
-    return SignatureVector(levels)
-
-
 def trajectory_signature(traj_array: np.ndarray, order: int = 5) -> np.ndarray:
-    """Flattened signature of an (n, 2) I-Q trajectory."""
-    return signature(traj_array, order).flatten()
+    """Flattened signature of one (n, dim) trajectory with n >= 1, such as an
+    (n, 2) I-Q path: :func:`batch_signature` on a batch of one."""
+    pts = np.asarray(traj_array, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ConfigurationError("trajectory_signature expects an (n, dim) point array")
+    return batch_signature(pts[None], order)[0]
 
 
 def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
@@ -132,7 +96,7 @@ def batch_signature(paths: np.ndarray, order: int) -> np.ndarray:
 
     flat = np.zeros((signature_length(dim, order), nb))
     flat[0] = 1.0
-    sig = _split_levels(flat, dim, order)
+    sig = np.split(flat, np.cumsum([dim**k for k in range(order + 1)])[:-1])  # level views
     buf = [None] + [np.empty((dim**k, nb)) for k in range(1, order + 1)]
     delta = np.empty((dim, nb))
     scaled = [None] + [np.empty((dim, nb)) for _ in range(order)]  # delta / j

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NON_NEGATIVE, POSITIVE, SEED, ConfigurationError, DataError, Field, check
-from .errors import is_finite_number, is_size
+from .errors import is_finite_number, is_integer, is_size
 
 STATES = (0, 1, 2)
 
@@ -601,15 +601,15 @@ def regenerate_paths(
     rendered, so a config cannot make the check allocate more than the
     shots hold.
     """
+    # count first: len(shots) // 3 asks 0 per state of a 1- or 2-shot file
+    if shots is not None and is_integer(shots_per_state) and len(shots) != 3 * shots_per_state:
+        raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")
     _check_shots_per_state(shots_per_state)
-    if shots is not None:
-        if len(shots) != 3 * shots_per_state:
-            raise DataError(f"expected {3 * shots_per_state} shots, got {len(shots)}")
-        if shots and shot_format(shots) != (cfg.n_samples, cfg.sample_rate):
-            raise DataError(
-                f"config renders {cfg.n_samples} samples at rate {cfg.sample_rate}, "
-                f"not the shots' {len(shots[0].samples)} at {shots[0].sample_rate}"
-            )
+    if shots is not None and shot_format(shots) != (cfg.n_samples, cfg.sample_rate):
+        raise DataError(
+            f"config renders {cfg.n_samples} samples at rate {cfg.sample_rate}, "
+            f"not the shots' {len(shots[0].samples)} at {shots[0].sample_rate}"
+        )
     render = _Renderer(cfg)
     paths, attempts = [], []
     for k, (attempt, path, rng) in enumerate(_scan(cfg, shots_per_state)):

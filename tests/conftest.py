@@ -45,15 +45,15 @@ def rng():
     return np.random.default_rng(1234)
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pytest_report_header(config):
     """State what produced the run's numbers: numpy, its BLAS, its SIMD
     targets (float32 ``tanh`` may take another code path on a CPU with other
     features), and the thread-count variables (a06 trains at the default
-    count); and the size of the package, as newlines in its sources under
-    ``src/``."""
+    count); and the size of the code, as newlines in the Python sources
+    under ``src/``, ``tests/`` and ``perfbench/``."""
     try:
         numpy_config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.26 takes no mode
@@ -61,13 +61,16 @@ def pytest_report_header(config):
     blas = numpy_config.get("Build Dependencies", {}).get("blas", {})
     simd = numpy_config.get("SIMD Extensions", {})
     threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}
-    src_lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
+    lines = {
+        d: sum(p.read_bytes().count(b"\n") for p in (ROOT / d).rglob("*.py"))
+        for d in ("src", "tests", "perfbench")
+    }
     return [
         f"numpy {np.__version__}, BLAS {blas.get('name', '?')} {blas.get('version', '?')}",
         "SIMD: baseline " + " ".join(simd.get("baseline", ["?"]))
         + ", found " + (" ".join(simd.get("found", [])) or "none"),
         "threads: " + (" ".join(f"{k}={v}" for k, v in threads.items()) or "no *_NUM_THREADS set"),
-        f"src/ lines: {src_lines}",
+        "lines: " + ", ".join(f"{d}/ {n}" for d, n in lines.items()),
     ]
 
 

@@ -131,14 +131,14 @@ def test_a03_signature_oracle(acceptance_log):
     for _ in range(25):
         start = draw.normal(size=2)
         delta = draw.normal(size=2)
-        sig = rk.signature(np.stack([start, start + delta]), order=5)
+        sig = rk.trajectory_signature(np.stack([start, start + delta]), order=5)
         expect = _flatten_levels(_tensor_exp_levels(delta, 5))
-        seg_err = max(seg_err, np.max(np.abs(sig.flatten() - expect)))
+        seg_err = max(seg_err, np.max(np.abs(sig - expect)))
 
     chen_err = 0.0
     for _ in range(25):
         pts = draw.normal(size=(3, 2))
-        sig_ab = rk.signature(pts, order=5).flatten()
+        sig_ab = rk.trajectory_signature(pts, order=5)
         a = _tensor_exp_levels(pts[1] - pts[0], 5)
         b = _tensor_exp_levels(pts[2] - pts[1], 5)
         expect = _flatten_levels(_tensor_product_levels(a, b, 5))
@@ -211,9 +211,10 @@ def test_a05_easy_data_sanity(acceptance_log):
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Three-seed benchmark shared by the headline and attribution checks."""
+    """Three-seed benchmark shared by the headline and attribution checks:
+    each seed's ``Comparison`` of the LSTM against the gmm baseline."""
     t0 = time.perf_counter()
-    runs = []
+    runs = {}
     for seed in (0, 1, 2):
         cfg = rk.SimConfig(seed=seed)
         ds = rk.generate_dataset(cfg, shots_per_state=25000)
@@ -223,27 +224,12 @@ def benchmark_runs():
 
         pipes = rk.standard_pipelines(frequency=cfg.f_if)
         gmm = rk.train_pipeline(train_shots, pipes["gmm"])
-        rep_g = rk.evaluate(gmm, test_shots)
 
         desc = pipes["bandpass_lstm"]
         desc["train"] = {"epochs": 100, "learning_rate": 1e-3, "seed": seed}
         lstm = rk.train_pipeline(nn_train, desc)
-        rep_l = rk.evaluate(lstm, test_shots)
 
-        labels = np.array([s.label for s in test_shots])
-        lstm_only = (rep_l.predictions == labels) & (rep_g.predictions != labels)
-        transitions = np.array([s.true_path.has_transition for s in test_shots])
-        runs.append(
-            {
-                "seed": seed,
-                "gmm": rep_g.average,
-                "lstm": rep_l.average,
-                "n_test": rep_g.n_test,
-                "nn_train_shots": len(nn_train),
-                "lstm_only": int(lstm_only.sum()),
-                "lstm_only_with_transition": int((lstm_only & transitions).sum()),
-            }
-        )
+        runs[seed] = rk.compare_pipelines(lstm, gmm, test_shots, cfg.f_if)
         del train_shots, test_shots, nn_train
     return {"runs": runs, "elapsed": time.perf_counter() - t0}
 
@@ -253,38 +239,39 @@ def test_a06_headline_benchmark(acceptance_log, benchmark_runs):
     """Integration baseline lands in its band; the sequence model beats it."""
     runs = benchmark_runs["runs"]
     elapsed = benchmark_runs["elapsed"]
-    gaps = [r["lstm"] - r["gmm"] for r in runs]
+    cmps = runs.values()
     ok = (
-        all(0.93 <= r["gmm"] <= 0.97 for r in runs)
-        and all(gap >= 0.005 for gap in gaps)
-        and all(r["n_test"] == 15000 for r in runs)
+        all(0.93 <= c.baseline.average <= 0.97 for c in cmps)
+        and all(c.gap >= 0.005 for c in cmps)
+        and all(c.baseline.n_test == 15000 for c in cmps)
         and elapsed <= 1800.0
     )
     detail = "; ".join(
-        f"seed {r['seed']}: gmm {r['gmm']:.4f}, lstm {r['lstm']:.4f}, gap {g:+.4f}"
-        for r, g in zip(runs, gaps)
+        f"seed {seed}: gmm {c.baseline.average:.4f}, lstm {c.primary.average:.4f}, "
+        f"gap {c.gap:+.4f} ± {c.gap_stderr:.4f}"
+        for seed, c in runs.items()
     )
     acceptance_log(
         f"[a06] {_verdict(ok)} benchmark: {detail}; "
         f"gmm in [0.93, 0.97], gaps >= 0.005, {elapsed:.0f}s (<= 1800s)"
     )
-    for r, gap in zip(runs, gaps):
-        assert 0.93 <= r["gmm"] <= 0.97
-        assert gap >= 0.005
-        assert r["n_test"] == 15000
+    for c in cmps:
+        assert 0.93 <= c.baseline.average <= 0.97
+        assert c.gap >= 0.005
+        assert c.baseline.n_test == 15000
     assert elapsed <= 1800.0
 
 
 @pytest.mark.slow
 def test_a07_disagreement_attribution(acceptance_log, benchmark_runs):
     """Most shots only the sequence model gets right contain a transition."""
-    runs = benchmark_runs["runs"]
-    wins = sum(r["lstm_only"] for r in runs)
-    with_transition = sum(r["lstm_only_with_transition"] for r in runs)
+    reports = {seed: c.disagreements for seed, c in benchmark_runs["runs"].items()}
+    wins = sum(len(d.primary_only_correct) for d in reports.values())
+    with_transition = sum(d.primary_only_transitions() for d in reports.values())
     frac = with_transition / wins if wins else 0.0
     per_seed = "; ".join(
-        f"seed {r['seed']}: {r['lstm_only_with_transition']}/{r['lstm_only']}"
-        for r in runs
+        f"seed {seed}: {d.primary_only_transitions()}/{len(d.primary_only_correct)}"
+        for seed, d in reports.items()
     )
     ok = wins > 0 and frac >= 0.60
     acceptance_log(

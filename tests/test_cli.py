@@ -145,10 +145,12 @@ def test_compare_reports_gap_and_forensics(workdir, capsys):
     assert f"latency: {median:.2f} ms median, {p90:.2f} ms p90 (" in out
     assert 0 < median <= p90
     assert set(payload) >= {
-        "baseline", "primary", "gap", "disagreements", "latency_ms", "latency_p90_ms"
+        "baseline", "primary", "gap", "gap_stderr", "disagreements", "latency_ms", "latency_p90_ms"
     }
     assert payload["baseline"]["name"] == "gmm"
-    assert abs(payload["gap"]) <= 1.0
+    gap, stderr = payload["gap"], payload["gap_stderr"]
+    assert abs(gap) <= 1.0 and 0 <= stderr <= 1.0
+    assert f"gap (quick_lstm - gmm): {gap:+.4f} +/- {stderr:.4f} (paired stderr)\n" in out
     # regenerated ground truth makes the transition census available
     assert "primary_only_transition_fraction" in payload["disagreements"]
 
@@ -604,6 +606,19 @@ def test_compare_rejects_a_shot_count_the_config_cannot_give(workdir, capsys):
     rc = main(["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")])
     assert rc == 2
     assert "expected 87 shots, got 89" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_compare_names_the_count_of_a_one_or_two_shot_file(workdir, capsys, count):
+    # a 1- or 2-shot file is refused for its shot count, not for the
+    # shots_per_state of 0 that len // 3 gives
+    data = simulate(workdir)
+    dataset = load_dataset(data)
+    save_dataset(Dataset(shots=dataset.shots[:count], config=dataset.config), data)
+    capsys.readouterr()
+    rc = main(["compare", "--data", str(data), "--pipeline", "gmm"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: expected 0 shots, got {count}\n"
 
 
 def test_compare_rejects_a_label_the_config_does_not_reproduce(workdir, capsys):

@@ -231,6 +231,17 @@ def test_regeneration_refuses_a_shot_count_the_config_does_not_give(tmp_path):
         load_dataset(path, regenerate=True)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_regeneration_names_the_count_of_a_one_or_two_shot_file(tmp_path, count):
+    # len // 3 asks for 0 per state: the file's shot count is at fault, not
+    # a shots_per_state that the caller never gave
+    cfg = SimConfig(duration=20.0, seed=2)
+    path = tmp_path / "shots.rkd"
+    save_dataset(Dataset(shots=generate_dataset(cfg, 1).shots[:count], config=cfg), path)
+    with pytest.raises(DataError, match=f"expected 0 shots, got {count}$"):
+        load_dataset(path, regenerate=True)
+
+
 def test_regeneration_checks_sample_count_before_rendering(tmp_path):
     # a sidecar whose config renders 4e6 samples for a 40-sample file is
     # refused before the renderer builds tables of that length

@@ -1,12 +1,15 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from readoutkit import (
+    Comparison,
     ConfigurationError,
     DataError,
     binomial_stderr,
+    compare_pipelines,
     confusion_table,
     disagreements,
     evaluate,
@@ -17,6 +20,7 @@ from readoutkit import (
     stratified_split,
     train_pipeline,
 )
+from readoutkit.pipeline import integrated_points
 
 
 def test_split_sizes_and_order(quiet_dataset):
@@ -158,15 +162,17 @@ def test_disagreement_partition(quiet_dataset):
     primary[5] = (labels[5] + 1) % 3
     baseline[5] = (labels[5] + 2) % 3
     rep = disagreements(shots, primary, baseline, frequency=0.1)
-    assert [r.index for r in rep.primary_only_correct] == [0, 1]
-    assert [r.index for r in rep.baseline_only_correct] == [2, 3, 4]
-    assert [r.index for r in rep.both_wrong] == [5]
-    rec = rep.primary_only_correct[0]
-    assert rec.label == labels[0]
-    assert rec.baseline_pred == baseline[0]
-    i, q = rec.point
-    assert np.isfinite(i) and np.isfinite(q)
+    assert rep.primary_only_correct.tolist() == [0, 1]
+    assert rep.baseline_only_correct.tolist() == [2, 3, 4]
+    assert rep.both_wrong.tolist() == [5]
+    assert np.array_equal(rep.labels, labels)
+    assert rep.points.shape == (30, 2)
+    assert rep.points.tobytes() == integrated_points(shots, 0.1).tobytes()
+    # arrays indexed by test-set row, and no reference to the shots
+    assert all(isinstance(v, np.ndarray) for v in vars(rep).values())
     # fixture simulates without relaxation, so no path ever leaves its state
+    assert rep.transitions.dtype == bool and not rep.transitions.any()
+    assert rep.primary_only_transitions() == 0
     assert rep.transition_fraction() == 0.0
     summary = rep.summary()
     assert summary["primary_only_correct"] == 2
@@ -183,7 +189,9 @@ def test_transition_fraction_none_cases(quiet_dataset):
     baseline = labels.copy()
     baseline[0] = (labels[0] + 1) % 3
     rep = disagreements(stripped, labels, baseline, frequency=0.1)
-    assert rep.transition_fraction() is None  # ground truth unavailable
+    assert rep.transitions is None  # ground truth unavailable
+    assert rep.primary_only_transitions() is None
+    assert rep.transition_fraction() is None
 
 
 def test_transition_fraction_counts_decayed(decaying_dataset):
@@ -200,6 +208,7 @@ def test_transition_fraction_counts_decayed(decaying_dataset):
     baseline[flip] = 0
     rep = disagreements(shots, primary, baseline, frequency=0.1)
     assert len(rep.primary_only_correct) == 5
+    assert rep.primary_only_transitions() == 4
     assert rep.transition_fraction() == pytest.approx(0.8)
 
 
@@ -208,6 +217,53 @@ def test_disagreements_rejects_mismatch(quiet_dataset):
     labels = np.array([s.label for s in shots])
     with pytest.raises(ConfigurationError):
         disagreements(shots, labels[:3], labels, frequency=0.1)
+
+
+def _comparison(shots, primary, baseline):
+    labels = np.array([s.label for s in shots])
+    return Comparison(
+        primary=report_from_predictions(labels, primary, name="primary"),
+        baseline=report_from_predictions(labels, baseline, name="baseline"),
+        disagreements=disagreements(shots, primary, baseline, frequency=0.1),
+    )
+
+
+def test_gap_stderr_closed_form(quiet_dataset):
+    # 10, 20 and 40 shots of states 0, 1, 2.  State 0: b = 2 primary-only
+    # and c = 1 baseline-only wins, variance (3 - 1/10) / 10**2 = 0.029;
+    # state 1: b = 4, c = 0, (4 - 16/20) / 20**2 = 0.008; state 2: one shot
+    # both miss, no discordant shot, 0.  The average weights the states
+    # equally: stderr sqrt(0.029 + 0.008) / 3.
+    by_state = [[s for s in quiet_dataset.shots if s.label == k] for k in (0, 1, 2)]
+    shots = by_state[0][:10] + by_state[1][:20] + by_state[2][:40]
+    labels = np.array([s.label for s in shots])
+    primary, baseline = labels.copy(), labels.copy()
+    baseline[[0, 1]] = (labels[[0, 1]] + 1) % 3
+    primary[2] = (labels[2] + 1) % 3
+    baseline[10:14] = (labels[10:14] + 2) % 3
+    primary[30] = baseline[30] = (labels[30] + 1) % 3
+    cmp = _comparison(shots, primary, baseline)
+    assert cmp.gap == pytest.approx((0.1 + 0.2 + 0.0) / 3, abs=1e-12)
+    assert cmp.gap_stderr == pytest.approx(np.sqrt(0.029 + 0.008) / 3, rel=1e-12)
+    assert _comparison(shots, primary, primary).gap_stderr == 0.0
+    assert _comparison(shots, labels, labels).gap_stderr == 0.0
+
+
+def test_compare_pipelines_is_both_reports_and_their_disagreements(quiet_dataset):
+    train, test = stratified_split(quiet_dataset.shots)
+    gmm = train_pipeline(train, standard_pipelines()["gmm"])
+    lstm = train_pipeline(train, standard_pipelines(train={"epochs": 1, "seed": 0})["lstm"])
+    cmp = compare_pipelines(lstm, gmm, test, frequency=0.1)
+    assert cmp.primary.to_dict() == evaluate(lstm, test).to_dict()
+    assert cmp.baseline.to_dict() == evaluate(gmm, test).to_dict()
+    assert cmp.gap == cmp.primary.average - cmp.baseline.average
+    want = disagreements(test, lstm.predict(test), gmm.predict(test), frequency=0.1)
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(cmp.disagreements, name), value), name
+    payload = json.loads(json.dumps(cmp.to_dict()))
+    assert set(payload) == {"baseline", "primary", "gap", "gap_stderr", "disagreements"}
+    assert payload["disagreements"] == want.summary()
+    assert (payload["gap"], payload["gap_stderr"]) == (cmp.gap, cmp.gap_stderr)
 
 
 def test_scatter_svg_output(tmp_path, rng):

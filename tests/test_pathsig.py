@@ -7,10 +7,19 @@ from readoutkit import (
     ConfigurationError,
     batch_signature,
     path_transform,
-    signature,
     signature_length,
     trajectory_signature,
 )
+
+
+def _levels(points, order):
+    """One path's signature split into its levels: level k is the
+    ``(dim,) * k`` tensor whose C-order entries follow level k-1's in the
+    flat vector."""
+    flat = trajectory_signature(points, order)
+    dim = np.shape(points)[1]
+    ends = np.cumsum([dim**k for k in range(order + 1)])
+    return [lvl.reshape((dim,) * k) for k, lvl in enumerate(np.split(flat, ends[:-1]))]
 
 
 def _tensor_product(a, b, order):
@@ -123,8 +132,7 @@ def test_signature_length_values():
 
 
 def test_signature_trivial_path():
-    sig = signature(np.array([[1.0, 2.0]]), 3)
-    flat = sig.flatten()
+    flat = trajectory_signature(np.array([[1.0, 2.0]]), 3)
     assert flat[0] == 1.0
     assert np.allclose(flat[1:], 0.0)
 
@@ -135,47 +143,43 @@ def test_single_segment_levels_are_scaled_tensor_powers(rng):
     for _ in range(10):
         a = rng.normal(size=2)
         b = rng.normal(size=2)
-        sig = signature(np.stack([a, b]), 5)
+        levels = _levels(np.stack([a, b]), 5)
         delta = b - a
         power = np.ones(())
         for k in range(6):
             if k > 0:
                 power = np.multiply.outer(power, delta)
             expected = power / math.factorial(k)
-            assert np.allclose(sig.levels[k], expected, atol=1e-10)
+            assert np.allclose(levels[k], expected, atol=1e-10)
 
 
 def test_two_segment_axis_path_oracle():
     # unit step right then unit step up: every iterated integral is known
     # in closed form
-    sig = signature(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), 2)
-    assert np.allclose(sig.levels[1], [1.0, 1.0], atol=1e-14)
+    levels = _levels(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), 2)
+    assert np.allclose(levels[1], [1.0, 1.0], atol=1e-14)
     # level 2 in C order: [xx, xy, yx, yy]
-    assert np.allclose(
-        sig.levels[2], [[0.5, 1.0], [0.0, 0.5]], atol=1e-14
-    )
+    assert np.allclose(levels[2], [[0.5, 1.0], [0.0, 0.5]], atol=1e-14)
 
 
 def test_level2_antisymmetric_part_is_signed_area(rng):
     # the antisymmetric part of level 2 equals half the Levy area, which for
     # a closed triangle is its signed euclidean area
     tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-    sig = signature(tri, 2)
-    lv2 = sig.levels[2]
+    lv2 = _levels(tri, 2)[2]
     area = 0.5 * (lv2[0, 1] - lv2[1, 0]) * 2.0
     assert abs(area - (-6.0)) < 1e-12 or abs(area - 6.0) < 1e-12
     # orientation flips the sign
-    sig_rev = signature(tri[::-1], 2)
-    assert abs(sig_rev.levels[2][0, 1] - lv2[1, 0]) < 1e-12
+    assert abs(_levels(tri[::-1], 2)[2][0, 1] - lv2[1, 0]) < 1e-12
 
 
 def test_reparametrization_invariance(rng):
     # inserting collinear intermediate points must not change the signature
     a = rng.normal(size=2)
     b = rng.normal(size=2)
-    direct = signature(np.stack([a, b]), 5).flatten()
+    direct = trajectory_signature(np.stack([a, b]), 5)
     ts = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 7)]))
-    dense = signature(a[None, :] + ts[:, None] * (b - a)[None, :], 5).flatten()
+    dense = trajectory_signature(a[None, :] + ts[:, None] * (b - a)[None, :], 5)
     assert np.allclose(direct, dense, atol=1e-10)
 
 
@@ -187,19 +191,9 @@ def test_concatenation_matches_tensor_product(rng):
         p2 = rng.normal(size=(5, 2))
         p2 = p2 - p2[0] + p1[-1]
         joined = np.concatenate([p1, p2[1:]])
-        sig_joined = signature(joined, 4)
-        combined = _tensor_product(signature(p1, 4).levels, signature(p2, 4).levels, 4)
-        for lv_j, lv_c in zip(sig_joined.levels, combined):
+        combined = _tensor_product(_levels(p1, 4), _levels(p2, 4), 4)
+        for lv_j, lv_c in zip(_levels(joined, 4), combined):
             assert np.allclose(lv_j, lv_c, atol=1e-8)
-
-
-def test_flatten_is_level_major():
-    sig = signature(np.array([[0.0, 0.0], [1.0, 2.0]]), 2)
-    flat = sig.flatten()
-    assert flat.shape == (7,)
-    assert flat[0] == 1.0
-    assert np.allclose(flat[1:3], sig.levels[1])
-    assert np.allclose(flat[3:], sig.levels[2].reshape(-1))
 
 
 def test_trajectory_signature_default_width(rng):
@@ -215,7 +209,7 @@ def test_batch_signature_matches_per_path(rng):
     assert batch.shape == (600, 63)
     sevens = np.concatenate([batch_signature(paths[i : i + 7], 5) for i in range(0, 600, 7)])
     for k in range(600):
-        alone = signature(paths[k], 5).flatten()
+        alone = trajectory_signature(paths[k], 5)
         assert alone.tobytes() == batch[k].tobytes() == sevens[k].tobytes()
 
 
@@ -234,17 +228,10 @@ def test_batch_signature_matches_batch_major_layout(n, dim, order):
         assert got.tobytes() == _batch_major_signature(paths, order).tobytes()
 
 
-def test_batch_signature_handles_stationary_steps(rng):
-    path = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
-    batch = batch_signature(path[None, :, :], 3)
-    direct = signature(path, 3).flatten()
-    assert np.allclose(batch[0], direct, atol=1e-12)
-
-
 def test_segment_signature_norm_decay(rng):
     # level norms of a straight segment are |delta|**k / k!
     delta = np.array([0.6, -0.8])
-    levels = signature(np.stack([np.zeros(2), delta]), 6).levels
+    levels = _levels(np.stack([np.zeros(2), delta]), 6)
     for k, lv in enumerate(levels):
         assert abs(np.sqrt(np.sum(lv**2)) - 1.0 / math.factorial(k)) < 1e-12
 
@@ -259,7 +246,7 @@ def test_signature_matches_per_path_chen_loop(n, dim, order):
     pts = rng.normal(size=(n, dim))
     if n > 2:
         pts[2] = pts[1]  # a stationary step
-    got = signature(pts, order).levels
+    got = _levels(pts, order)
     want = _per_path_signature(pts, order)
     assert len(got) == order + 1
     for k, (lv_got, lv_want) in enumerate(zip(got, want)):
@@ -285,11 +272,11 @@ def test_one_dimensional_levels_are_scaled_powers_of_the_displacement(rng):
 
 def test_signature_rejects_bad_input():
     with pytest.raises(ConfigurationError):
-        signature(np.zeros((0, 2)), 3)
+        trajectory_signature(np.zeros((0, 2)), 3)
     with pytest.raises(ConfigurationError):
-        signature(np.zeros(3), 3)  # a 1-D path is a (n, 1) array
+        trajectory_signature(np.zeros(3), 3)  # a 1-D path is a (n, 1) array
     with pytest.raises(ConfigurationError):
-        signature(np.zeros((3, 2)), -1)
+        trajectory_signature(np.zeros((3, 2)), -1)
     with pytest.raises(ConfigurationError):
         batch_signature(np.zeros((3, 2)), 2)
     with pytest.raises(ConfigurationError):

@@ -1,7 +1,10 @@
-"""The JSON examples in README.md pass the tables they illustrate: the
-``--pipeline`` descriptor through ``normalize_descriptor`` and the
-``simulate --config`` block through ``SimConfig.from_dict``."""
+"""The README's examples run as written: the JSON examples pass the tables
+they illustrate (the ``--pipeline`` descriptor through
+``normalize_descriptor`` and the ``simulate --config`` block through
+``SimConfig.from_dict``), and the library quick start runs at toy size."""
 
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
@@ -29,3 +32,21 @@ def test_readme_json_example_is_accepted(example):
         assert normalize_descriptor(example)["stages"] == example["stages"]
     else:
         assert SimConfig.from_dict(example).to_dict().items() >= example.items()
+
+
+# the quick start's full-scale sizes, and the toy sizes the test runs it at
+QUICK_START_SIZES = {"shots_per_state=4000": "shots_per_state=60", '"epochs": 100': '"epochs": 1'}
+
+
+def test_readme_quick_start_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    for full, toy in QUICK_START_SIZES.items():
+        assert block.count(full) == 1, full
+        block = block.replace(full, toy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    printed = out.getvalue()
+    assert printed.startswith("classifier")
+    assert re.search(r"^gap [+-][0-9.]+ \+/- [0-9.]+ \(paired stderr\)$", printed, re.M)
+    assert "'primary_only_transition_fraction':" in printed
