@@ -29,6 +29,7 @@ from .dataio import (
     export_csv,
     load_dataset,
     read_sidecar,
+    regenerate_truth,
     save_dataset,
     sidecar_path,
 )
@@ -39,7 +40,7 @@ from .errors import (
     IncompatibilityError,
     NumericalError,
 )
-from .sim import Dataset, SimConfig, decay_statistics, generate_dataset, regenerate_paths
+from .sim import Dataset, SimConfig, decay_statistics, generate_dataset
 
 
 def _load_sim_config(args) -> SimConfig:
@@ -129,7 +130,7 @@ def cmd_compare(args) -> int:
     if dataset.config is not None:
         # ground truth for the disagreement forensics; a sidecar that does
         # not reproduce the data is an error, not a reason to go without
-        regenerate_paths(dataset.config, len(dataset) // 3, shots=dataset.shots)
+        regenerate_truth(dataset, args.data)
     desc_primary = _resolve_descriptor(args.pipeline, dataset)
     desc_baseline = _resolve_descriptor(args.baseline, dataset)
     if args.seed is not None:

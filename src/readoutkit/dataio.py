@@ -164,16 +164,22 @@ def load_dataset(path: str | Path, regenerate: bool = False) -> Dataset:
         RawShot(row, labels[i], heralds[i], true_path=None, shot_id=i, sample_rate=rate)
         for i, row in enumerate(records["samples"])
     ]
-
+    dataset = Dataset(shots=shots, config=config)
     if regenerate:
         if config is None:
             raise DataError("path regeneration needs the JSON sidecar with a config")
-        try:
-            regenerate_paths(config, count // 3, shots=shots)
-        except DataError as e:
-            raise DataError(f"sidecar {sc}: {e}") from e
+        regenerate_truth(dataset, path)
+    return dataset
 
-    return Dataset(shots=shots, config=config)
+
+def regenerate_truth(dataset: Dataset, path: str | Path) -> None:
+    """Replay the config of ``dataset``, loaded from ``path``, to give its
+    shots their true paths and generated ids back (:func:`load_dataset`'s
+    ``regenerate``); a ``DataError`` names the sidecar."""
+    try:
+        regenerate_paths(dataset.config, len(dataset) // 3, shots=dataset.shots)
+    except DataError as e:
+        raise DataError(f"sidecar {sidecar_path(path)}: {e}") from e
 
 
 def export_csv(dataset: Dataset, path: str | Path) -> int:

@@ -87,8 +87,7 @@ def report_from_predictions(
         raise ConfigurationError("labels and predictions must match and be non-empty")
     per_state = {}
     confusion = np.zeros((len(STATES), len(STATES)), dtype=int)
-    for true, pred in zip(labels, preds):
-        confusion[true, pred] += 1
+    np.add.at(confusion, (labels, preds), 1)
     for s in STATES:
         mask = labels == s
         if not np.any(mask):

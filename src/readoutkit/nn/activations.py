@@ -23,12 +23,6 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
 def selu(z: np.ndarray) -> np.ndarray:
     """Self-normalizing linear unit."""
     z = np.asarray(z, dtype=float)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .activations import log_softmax, sigmoid, softmax
+from .activations import sigmoid, softmax
 
 # the output squashings a network can declare: softmax over exclusive
 # classes, or an independent sigmoid per class
@@ -66,9 +66,12 @@ def weighted_cross_entropy(
 
     y = _one_hot(labels, n_classes)
     if output == "softmax":
-        logp = log_softmax(logits, axis=1)
-        loss = float(-np.sum(w * logp[np.arange(n), labels]) / w_total)
-        dlogits = (softmax(logits, axis=1) - y) * (w / w_total)[:, None]
+        # log-softmax for the loss and softmax for dlogits, from one max shift
+        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        e = np.exp(shifted)
+        total = np.sum(e, axis=1, keepdims=True)
+        loss = float(-np.sum(w * (shifted - np.log(total))[np.arange(n), labels]) / w_total)
+        dlogits = (e / total - y) * (w / w_total)[:, None]
     elif output == "sigmoid":
         # -log(sigmoid(z)) = log(1 + exp(-z)) and its mirror, kept in log space
         per_class = y * np.logaddexp(0.0, -logits) + (1.0 - y) * np.logaddexp(0.0, logits)
@@ -88,7 +91,9 @@ class Classifier:
     preallocated array, so memory does not grow with the number of shots.
     A set of at most one block is one call.  ``_block_logits`` gives
     ``forward``'s logits: the dense network's is ``forward``, the lstm's
-    runs its layers without training caches."""
+    runs its layers without training caches.  Like ``forward``, prediction
+    computes in its input's dtype, float32 for float32 input and float64
+    for any other; its logits and probabilities are float64 either way."""
 
     @classmethod
     def from_arch(cls, arch: dict, seed: int = 0):
@@ -100,9 +105,9 @@ class Classifier:
         return sum(p.size for p in self.param_arrays())
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)  # each block computes in its dtype (see forward)
         if x.ndim == 0 or len(x) <= BATCH_BLOCK:
-            return self._block_logits(x)  # which refuses a wrong shape
+            return np.asarray(self._block_logits(x), dtype=float)  # which refuses a wrong shape
         logits = np.empty((len(x), self.output_dim))
         for s in batch_blocks(len(x)):
             logits[s] = self._block_logits(x[s])

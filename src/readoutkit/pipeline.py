@@ -302,8 +302,11 @@ def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
 
 
 def _model_inputs(desc: dict, arr: np.ndarray):
-    """Map preprocessed output onto the model's input: the gmm and lstm
-    models take it as it is, a dense model its feature vectors."""
+    """Map preprocessed output onto the model's input: the gmm model takes
+    it as it is, a dense model its feature vectors, and an lstm model its
+    float32 copy, the dtype it trains and predicts in (see ``nn.lstm``)."""
+    if desc["model"]["kind"] == "lstm":
+        return arr.astype(np.float32)
     if desc["model"]["kind"] != "dense":
         return arr
     features = desc["model"]["features"]
@@ -422,7 +425,7 @@ def train_pipeline(
 
     The gmm model is a closed-form fit; lstm and dense run the mini-batch
     trainer with the descriptor's optimization block, an lstm on float32
-    input against float64 weights (see ``nn.lstm``).  The
+    input against float64 weights (see ``nn.lstm``), as it predicts.  The
     ``gmm_confidence`` weighting fits a reference Gaussian model on plain
     integrated points and weighs each sample by the posterior it assigns to
     the sample's own label.  :func:`preprocess_batch` checks the shots.
@@ -430,8 +433,6 @@ def train_pipeline(
     shots = list(dataset)
     desc = normalize_descriptor(descriptor)
     X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]))
-    if desc["model"]["kind"] == "lstm":
-        X = X.astype(np.float32)  # rebinding frees the float64 array
     # preprocess_batch has checked that every shot shares the first's format
     input_length, sample_rate = len(shots[0].samples), shots[0].sample_rate
     labels = np.array([s.label for s in shots], dtype=int)

@@ -7,6 +7,7 @@ import pytest
 
 from readoutkit import Dataset, RawShot, load_dataset, lstm_param_count, save_dataset
 from readoutkit.cli import main
+from readoutkit.dataio import sidecar_path
 
 
 QUICK_CONFIG = {
@@ -618,7 +619,8 @@ def test_compare_names_the_count_of_a_one_or_two_shot_file(workdir, capsys, coun
     capsys.readouterr()
     rc = main(["compare", "--data", str(data), "--pipeline", "gmm"])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: expected 0 shots, got {count}\n"
+    sidecar = sidecar_path(data)
+    assert capsys.readouterr().err == f"error: sidecar {sidecar}: expected 0 shots, got {count}\n"
 
 
 def test_compare_rejects_a_label_the_config_does_not_reproduce(workdir, capsys):
@@ -632,7 +634,9 @@ def test_compare_rejects_a_label_the_config_does_not_reproduce(workdir, capsys):
     capsys.readouterr()
     rc = main(["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")])
     assert rc == 2
-    assert "label of row 5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sidecar {sidecar_path(data)}: ")
+    assert "label of row 5" in err
 
 
 def test_evaluate_refuses_non_finite_shots(workdir, capsys):

@@ -96,6 +96,15 @@ def test_report_confusion_counts():
     assert rep.confusion[0, 0] == 9
 
 
+def test_confusion_counts_match_a_loop_over_the_shots(rng):
+    labels = np.concatenate([[0, 1, 2], rng.integers(0, 3, 997)])
+    preds = rng.integers(0, 3, 1000)
+    loop = np.zeros((3, 3), dtype=int)
+    for true, pred in zip(labels, preds):
+        loop[true, pred] += 1
+    assert np.array_equal(report_from_predictions(labels, preds).confusion, loop)
+
+
 def test_report_requires_every_state():
     labels = np.array([0, 0, 1, 1])
     with pytest.raises(DataError):

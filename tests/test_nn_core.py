@@ -19,7 +19,6 @@ from readoutkit import (
 from readoutkit.nn.activations import (
     SELU_ALPHA,
     SELU_LAMBDA,
-    log_softmax,
     selu,
     selu_grad,
     sigmoid,
@@ -47,9 +46,11 @@ def test_softmax_rows_sum_to_one_with_huge_logits():
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_log_softmax_consistency(rng):
+def test_cross_entropy_is_the_log_of_softmax(rng):
     z = rng.normal(size=(10, 4))
-    assert np.allclose(log_softmax(z), np.log(softmax(z)), atol=1e-12)
+    labels = rng.integers(0, 4, 10)
+    loss, _ = weighted_cross_entropy(z, labels)
+    assert abs(loss + np.mean(np.log(softmax(z, axis=1))[np.arange(10), labels])) < 1e-12
 
 
 def test_selu_constants_and_values():

@@ -17,7 +17,8 @@ from readoutkit import (
     standard_pipelines,
     train_pipeline,
 )
-from readoutkit.pipeline import apply_stages, integrated_points
+from readoutkit.nn import softmax
+from readoutkit.pipeline import _model_inputs, apply_stages, integrated_points
 
 
 def demod_stage(freq=0.1):
@@ -227,6 +228,23 @@ def test_train_lstm_pipeline_runs(quiet_dataset):
     assert fitted.model.input_dim == 2
     preds = fitted.predict(quiet_dataset.shots[:5])
     assert preds.shape == (5,)
+
+
+def test_lstm_pipeline_predicts_in_float32(quiet_dataset):
+    # an lstm pipeline hands its model float32 input in prediction as in
+    # training; the probabilities are the softmax of the float32 forward,
+    # widened to float64; 360 shots span two prediction blocks
+    desc = standard_pipelines(bin_size=40)["bandpass_lstm"]
+    desc["train"] = {"epochs": 1, "seed": 0}
+    fitted = train_pipeline(quiet_dataset, desc)
+    shots = quiet_dataset.shots * 2
+    x = _model_inputs(fitted.descriptor, preprocess_batch(shots, fitted.descriptor["stages"]))
+    assert x.dtype == np.float32
+    logits, _ = fitted.model.forward(x)
+    assert logits.dtype == np.float32
+    proba = fitted.predict_proba(shots)
+    assert proba.dtype == np.float64
+    assert proba.tobytes() == softmax(logits.astype(np.float64), axis=1).tobytes()
 
 
 def test_train_dense_signature_pipeline(quiet_dataset):

@@ -77,8 +77,8 @@ def test_prediction_layout_is_the_bytes_of_forward(N, hidden, dtype):
     x = np.random.default_rng(N).normal(size=(11, N, 3)).astype(dtype).transpose(1, 0, 2)
     whole, _ = model.forward(x)
     assert model._block_logits(x).tobytes() == whole.tobytes()
-    if dtype is np.float64:
-        assert model.predict_logits(x).tobytes() == whole.tobytes()
+    # prediction computes in the input's dtype and widens its logits
+    assert model.predict_logits(x).tobytes() == whole.astype(np.float64).tobytes()
 
 
 def test_dense_blocks_agree_with_one_forward(rng):
