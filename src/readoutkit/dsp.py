@@ -17,6 +17,8 @@ end returns one array of I-Q trajectories or points (see
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -40,19 +42,30 @@ def demodulate(samples: np.ndarray, sample_rate: float, f_if: float) -> np.ndarr
     processed in one call.  Returns one array shaped ``(2,) +
     samples.shape``: row 0 is I and row 1 is Q.  The factor 2 makes a
     unit-amplitude tone at ``f_if`` demodulate to (I, Q) = (1, 0) up to the
-    double-frequency ripple.
+    double-frequency ripple.  The mixer's ``cos`` and ``sin`` are computed
+    once per trace length, rate and frequency and kept (:func:`_mixer`), so
+    a call on a few traces costs no more per trace than one on many.
     """
     if sample_rate <= 0:
         raise ConfigurationError("sample_rate must be positive")
     x = np.asarray(samples, dtype=float)
-    t = np.arange(x.shape[-1]) / sample_rate
-    ph = 2.0 * np.pi * f_if * t
+    cos, sin = _mixer(x.shape[-1], sample_rate, f_if)
     iq = np.empty((2,) + x.shape)
     np.multiply(x, 2.0, out=iq[0])
-    iq[0] *= np.cos(ph)
+    iq[0] *= cos
     np.multiply(x, -2.0, out=iq[1])
-    iq[1] *= np.sin(ph)
+    iq[1] *= sin
     return iq
+
+
+@functools.lru_cache(maxsize=16)
+def _mixer(n: int, sample_rate: float, f_if: float) -> np.ndarray:
+    """The read-only (2, n) table of ``cos`` and ``sin`` of the mixer phase
+    ``2 pi f_if t`` at the sample times ``t = k / sample_rate``."""
+    ph = 2.0 * np.pi * f_if * (np.arange(n) / sample_rate)
+    table = np.stack([np.cos(ph), np.sin(ph)])
+    table.flags.writeable = False
+    return table
 
 
 def band_bins(n: int, sample_rate: float, center: float, half_width: float) -> np.ndarray:

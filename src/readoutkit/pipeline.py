@@ -36,7 +36,15 @@ order with elementwise operations (one reduce for a lone shot, a running
 sum for a block), so a shot's output does not depend on the batch it is in
 or on the BLAS thread count.  Where the sum would cost
 more than the per-sample chain (a wide band without binning), the
-per-sample chain runs instead.
+per-sample chain runs instead, over pieces of at most ``PIECE`` traces.
+
+:func:`preprocess_batch` runs each ``BATCH_BLOCK`` of shots as one row
+slice per usable CPU, the calling thread taking the first and a pool of
+long-lived threads, one per process, the others.  numpy's ``rfft`` and
+its elementwise loops release the interpreter lock, so the slices run at
+once; the stages are per trace and call no BLAS, so every shot's row has
+the bytes it has without threads.  The networks, the signatures and the
+gmm model stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -44,7 +52,9 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import os
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,6 +127,11 @@ WEIGHTING_FIELDS = {
 # (it costs as much as the per-sample chain at about 10 on 2000-sample
 # traces and 6 on 400-sample ones; the stock pipelines need 1)
 FOLD_MAX_TERMS = 8
+# the per-sample chain runs over pieces of at most this many traces: its
+# (2, rows, n) demodulated copy is 1 MiB for 2000-sample traces, where a
+# 256-shot block's would be 8 MiB, and each front-end thread's malloc arena
+# keeps the largest such buffer after it is freed
+PIECE = 32
 
 
 def normalize_descriptor(desc: dict) -> dict:
@@ -171,7 +186,12 @@ def apply_stages(samples: np.ndarray, sample_rate: float, stages: list[dict]) ->
     if stages and stages[0]["op"] == "bandpass":
         fold = _band_response(canonical_json(stages), x.shape[-1], sample_rate)
     if fold is None:
-        return _apply_per_sample(x, sample_rate, stages)
+        # an empty batch still runs once, for its output's shape
+        parts = [
+            _apply_per_sample(x[k : k + PIECE], sample_rate, stages)
+            for k in range(0, len(x) or 1, PIECE)
+        ]
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
     return _fold(x, *fold)
 
 
@@ -262,36 +282,87 @@ def _fold(x: np.ndarray, bins: np.ndarray, response: np.ndarray) -> np.ndarray:
 
 def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
     """Stage application over many shots, ``BATCH_BLOCK`` shots at a time,
-    each block stacked straight into float64 (exact for float32 samples)
-    and its result written into one preallocated output.
+    each block split into one row slice per usable CPU.
 
     Returns the same array as :func:`apply_stages`, the batch axis first.
-    Blocking bounds peak memory; results are identical to one big call
-    because every stage is per-trace.  This is where training and
-    prediction check their shots, before the stages run on them:
+    The calling thread runs a block's first slice and this process's
+    front-end threads (:func:`_front_end_pool`) run the others; each slice
+    stacks its shots straight into float64 (exact for float32 samples),
+    checks them and runs the stages, and its rows go into one preallocated
+    output.  The next block starts when every slice of this one has
+    finished, so memory is bounded by one block, not by the shots.  Every
+    stage works per trace and calls no BLAS, so a shot's row has the same
+    bytes in any block, in any slice and at any thread count.  A one-shot
+    call (every ``predict_one``) is one slice and runs inline without
+    looking up the threads.  This is where training and prediction check
+    their shots, before the stages run on them:
 
     - the list is not empty (``ConfigurationError``);
     - the shots share length and rate (``DataError``, from :func:`shot_format`);
     - they have samples (``DataError``);
     - every sample is finite (``DataError`` naming the first bad shot).
+
+    A slice's error is raised only after every slice of its block has
+    finished, and the error of the first slice in shot order wins, so a
+    non-finite sample is named as it would be without threads.
     """
     if not shots:
         raise ConfigurationError("no shots to preprocess")
     n, rate = shot_format(shots)
     if n == 0:
         raise DataError("the shots have no samples")
+    count, pool = (1, None) if len(shots) == 1 else _front_end_pool()
     out = None
     for s in batch_blocks(len(shots)):
-        block = np.stack([shot.samples for shot in shots[s]], dtype=float)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            k = s.start + int(np.argmin(finite))
-            raise DataError(f"shot {k} (shot_id {shots[k].shot_id}) has non-finite samples")
-        block = apply_stages(block, rate, stages)
+        size = min(s.stop, len(shots)) - s.start
+        parts = min(count, size)
+        pieces = [
+            slice(s.start + size * i // parts, s.start + size * (i + 1) // parts)
+            for i in range(parts)
+        ]
+        futures = []
+        try:
+            for piece in pieces[1:]:
+                futures.append(pool.submit(_stage_rows, shots, piece, rate, stages))
+            block = _stage_rows(shots, pieces[0], rate, stages)
+        finally:
+            if futures:
+                wait(futures)
         if out is None:
             out = np.empty((len(shots),) + block.shape[1:], dtype=block.dtype)
-        out[s] = block
+        out[pieces[0]] = block
+        for piece, future in zip(pieces[1:], futures):
+            out[piece] = future.result()
     return out
+
+
+def _stage_rows(shots: list[RawShot], rows: slice, rate: float, stages: list[dict]) -> np.ndarray:
+    """One slice of :func:`preprocess_batch`: stack, check, run the stages."""
+    block = np.stack([shot.samples for shot in shots[rows]], dtype=float)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        k = rows.start + int(np.argmin(finite))
+        raise DataError(f"shot {k} (shot_id {shots[k].shot_id}) has non-finite samples")
+    return apply_stages(block, rate, stages)
+
+
+# (pid, slices per block, threads for all but the first slice or None); a
+# forked child inherits the tuple but not the threads, so it makes its own
+_front_end = None
+
+
+def _front_end_pool() -> tuple[int, ThreadPoolExecutor | None]:
+    """This process's front-end threads: one slice per usable CPU
+    (``os.sched_getaffinity``, or 1 where that call is missing), the
+    calling thread running the first.  Made on the first call in each
+    process; two threads that race here each make a pool, and the one not
+    kept lets its threads exit once its call is done."""
+    global _front_end
+    if _front_end is None or _front_end[0] != os.getpid():
+        count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        pool = ThreadPoolExecutor(count - 1, "readoutkit-front-end") if count > 1 else None
+        _front_end = (os.getpid(), count, pool)
+    return _front_end[1:]
 
 
 def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:

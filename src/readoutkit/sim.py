@@ -563,17 +563,23 @@ def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
             f"requested dataset would need ~{rows * n * 4 >> 20} MiB of sample storage"
         )
 
-    render = _Renderer(cfg)
-    scan = _scan(cfg, shots_per_state)
     workers = 1
     if rows * n >= POOL_MIN_SAMPLES:
         workers = min(_pool_workers(), -(-rows // _POOL_CHUNK))  # no idle workers
+    # the block comes before the renderer's tables, so that a heap block can
+    # take the space a dropped dataset left: made after them, it missed that
+    # space whenever a table split it (which the front-end threads' timing
+    # decides, seen in about one process in five) and grew the heap instead
     if workers > 1:
         # shared with the forked workers, so their rows need no copy back
         block = np.frombuffer(mmap.mmap(-1, rows * n * 4), np.float32).reshape(rows, n)
-        kept = _render_pooled(render, block, scan, workers)
     else:
         block = np.empty((rows, n), np.float32)
+    render = _Renderer(cfg)
+    scan = _scan(cfg, shots_per_state)
+    if workers > 1:
+        kept = _render_pooled(render, block, scan, workers)
+    else:
         kept = []
         for row, (attempt, path, rng) in enumerate(scan):
             block[row] = render.samples(path, rng)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from readoutkit import SimConfig, generate_dataset
+from readoutkit import pipeline
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,25 @@ def decaying_config():
 @pytest.fixture(scope="session")
 def decaying_dataset(decaying_config):
     return generate_dataset(decaying_config, shots_per_state=60)
+
+
+@pytest.fixture
+def front_end_threads(monkeypatch):
+    """Returns a setter for the usable CPU count the front end reads, and
+    drops this process's front-end pool so that the next call makes one of
+    that many slices per block; the last pool made is shut down after the
+    test."""
+
+    counts = []
+
+    def set_count(count):
+        counts.append(count)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(pipeline, "_front_end", None)
+
+    yield set_count
+    if counts and pipeline._front_end is not None and pipeline._front_end[2] is not None:
+        pipeline._front_end[2].shutdown()
 
 
 @pytest.fixture

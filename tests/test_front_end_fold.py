@@ -5,7 +5,8 @@ FFT, the brick-wall mask, a complex inverse FFT, then demodulate, bin,
 path_transform and integrate sample by sample.  The fold sums the same
 linear map over the in-band coefficients, so it agrees to rounding; a
 stage list without a bandpass still runs the per-sample chain and matches
-the oracle byte for byte.
+the oracle byte for byte.  The front end's row slices on threads give
+the bytes of one slice per block, at any worker count.
 """
 
 import copy
@@ -13,6 +14,9 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +24,7 @@ import pytest
 
 from readoutkit import (
     ConfigurationError,
+    DataError,
     SimConfig,
     TrainedPipeline,
     canonical_json,
@@ -29,6 +34,7 @@ from readoutkit import (
     standard_pipelines,
     train_pipeline,
 )
+from readoutkit import pipeline
 from readoutkit.dsp import band_bins
 from readoutkit.pipeline import _band_response, apply_stages
 
@@ -336,3 +342,105 @@ def test_preprocessed_bytes_do_not_depend_on_thread_count():
         digests.append(out.stdout.strip())
     assert len(digests[0]) == len(hashlib.sha256().hexdigest())
     assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def shots600():
+    return generate_dataset(SimConfig(seed=0), shots_per_state=200).shots
+
+
+def stock_stages(name):
+    return normalize_descriptor(standard_pipelines()[name])["stages"]
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        stock_stages("gmm"),
+        stock_stages("lstm"),
+        stock_stages("bandpass_lstm"),
+        [bp(0.1, 0.05), demod(), {"op": "bin", "size": 40}],
+    ],
+    ids=["gmm", "lstm", "bandpass_lstm", "wide-band-per-sample"],
+)
+def test_front_end_bytes_do_not_depend_on_the_worker_count(front_end_threads, shots600, stages):
+    # the wide band runs the per-sample chain (test_fold_runs_where_it_is_cheaper)
+    front_end_threads(1)
+    whole = preprocess_batch(shots600, stages)
+    for count in (1, 2, 3):
+        front_end_threads(count)
+        for m in (1, 2, 127, 128, 129, 255, 256, 257, 600):
+            arr = preprocess_batch(shots600[:m], stages)
+            assert arr.tobytes() == whole[:m].tobytes(), (count, m)
+
+
+def _with_nan(shots, *rows):
+    shots = list(shots)
+    for k in rows:
+        samples = shots[k].samples.copy()
+        samples[17] = np.nan
+        shots[k] = replace(shots[k], samples=samples)
+    return shots
+
+
+def test_first_bad_shot_is_named_and_no_slice_outlives_the_call(
+    front_end_threads, monkeypatch, shots600
+):
+    """Two slices per block: rows 0-127 on the caller, 128-255 on a thread,
+    and so on.  One side's slices are held back: the threads', so a call
+    whose caller slice fails must wait for them, or the caller's, so a
+    thread's error comes first in time but not in shot order."""
+    stages = stock_stages("bandpass_lstm")
+    front_end_threads(1)
+    good = preprocess_batch(shots600, stages)
+    front_end_threads(2)
+    real, lock = pipeline._stage_rows, threading.Lock()
+    running, ran_on, slow_caller = [0], set(), [False]
+
+    def held(shots, rows, rate, stages):
+        with lock:
+            running[0] += 1
+            ran_on.add(threading.current_thread().name)
+        try:
+            if (rows.start % 256 == 0) == slow_caller[0]:
+                time.sleep(0.05)
+            return real(shots, rows, rate, stages)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(pipeline, "_stage_rows", held)
+    cases = (((100, 400), 100, False), ((100, 200), 100, True), ((200,), 200, False))
+    for bad, named, slow_caller[0] in cases:
+        with pytest.raises(DataError, match=f"shot {named} "):
+            preprocess_batch(_with_nan(shots600, *bad), stages)
+        assert running[0] == 0
+        assert preprocess_batch(shots600, stages).tobytes() == good.tobytes()
+    assert len(ran_on) == 2  # the caller and one front-end thread
+
+
+def test_one_shot_runs_inline_and_the_cpus_are_counted_once(front_end_threads, monkeypatch, shots600):
+    stages = stock_stages("bandpass_lstm")
+    front_end_threads(2)
+
+    def no_pool():
+        raise AssertionError("a one-shot call looked up the front-end threads")
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_front_end_pool", no_pool)
+        alone = preprocess_batch(shots600[:1], stages)
+    assert alone.tobytes() == apply_stages(shots600[0].samples[None], 2.0, stages).tobytes()
+
+    lookups = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: lookups.append(pid) or {0, 1})
+    for m in (2, 300, 600):
+        preprocess_batch(shots600[:m], stages)
+    assert len(lookups) == 1
+
+
+def test_no_front_end_threads_without_an_affinity_call(monkeypatch, shots600):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pipeline, "_front_end", None)
+    stages = stock_stages("lstm")
+    preprocess_batch(shots600[:300], stages)
+    assert pipeline._front_end[1:] == (1, None)

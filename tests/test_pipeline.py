@@ -188,10 +188,13 @@ def test_preprocess_batch_chunking_invariant(quiet_dataset):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
-@pytest.mark.parametrize("name", ["gmm", "lstm"])
-def test_preprocess_batch_memory_does_not_grow_with_the_shots(name):
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("name", ["gmm", "lstm", "bandpass_lstm"])
+def test_preprocess_batch_memory_does_not_grow_with_the_shots(front_end_threads, name, count):
     # the whole set's float64 copy alone would be 46 MiB, its demodulated
-    # (2, 3000, 2000) array 92 MiB
+    # (2, 3000, 2000) array 92 MiB; each front-end thread holds its own
+    # slice's temporaries, so the bound is checked at set CPU counts
+    front_end_threads(count)
     noise = np.random.default_rng(0).normal(size=(3000, 2000)).astype(np.float32)
     shots = [
         RawShot(samples=row, label=0, herald_pass=True, true_path=None, shot_id=k)
@@ -204,7 +207,7 @@ def test_preprocess_batch_memory_does_not_grow_with_the_shots(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_train_gmm_pipeline_and_predict(quiet_dataset):

@@ -4,18 +4,24 @@ The pool runs only above ``sim.POOL_MIN_SAMPLES`` and with more than one
 usable CPU, so these tests lower the threshold and set the worker count.
 One worker renders in-process from the scan's live streams; two and three
 render in forked workers from shipped stream states.  Every test also
-checks that no worker outlives the call.
+checks that no worker outlives the call.  The front end's threads
+(``pipeline.preprocess_batch``) may be alive when a render pool forks, and
+a process forked after them makes its own.
 """
 
+import hashlib
 import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from readoutkit import SimConfig, generate_dataset, shot_rng, synthesize_shot
+from readoutkit import SimConfig, generate_dataset, normalize_descriptor, preprocess_batch
+from readoutkit import shot_rng, standard_pipelines, synthesize_shot
 from readoutkit.errors import DataError
-from readoutkit import sim
+from readoutkit import pipeline, sim
 
 # the benchmark's ingest physics on short traces: phase noise takes the
 # per-shot random walk, and heralding makes the scan reject attempts
@@ -132,3 +138,44 @@ def test_pool_runs_only_from_the_sample_threshold(monkeypatch):
     with pytest.raises(FloatingPointError):
         generate_dataset(cfg, 10)
     assert pooled == [(3 * 10 * 400, 2)]
+
+
+def _front_end_digest(shots, stages, conn):
+    """In a forked child: preprocess, then send the rows' digest and the pid
+    the child's front-end pool was made for."""
+    arr = preprocess_batch(shots, stages)
+    conn.send((hashlib.sha256(arr.tobytes()).hexdigest(), pipeline._front_end[0], os.getpid()))
+    conn.close()
+
+
+def test_forks_after_front_end_threads(workers, front_end_threads):
+    cfg = SimConfig(**INGEST_PHYSICS)
+    workers(1)
+    alone = _columns(generate_dataset(cfg, 300))
+
+    # 900 shots make 4 blocks of 2 slices each, the second on a thread
+    front_end_threads(2)
+    shots = generate_dataset(SimConfig(seed=0), 300).shots
+    stages = normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"]
+    rows = preprocess_batch(shots, stages)
+    assert any(t.name.startswith("readoutkit-front-end") for t in threading.enumerate())
+
+    workers(2)
+    assert _columns(generate_dataset(cfg, 300)) == alone
+    assert multiprocessing.active_children() == []
+
+    # a child reusing the parent's pool would wait forever on its threads
+    ctx = multiprocessing.get_context("fork")
+    here, there = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_front_end_digest, args=(shots, stages, there), daemon=True)
+    child.start()
+    there.close()
+    try:
+        assert here.poll(60), "the forked child gave no rows"
+        digest, pool_pid, child_pid = here.recv()
+        child.join(10)
+    finally:
+        child.kill()
+    assert child.exitcode == 0
+    assert pool_pid == child_pid != os.getpid()
+    assert digest == hashlib.sha256(rows.tobytes()).hexdigest()
