@@ -85,6 +85,8 @@ def report_from_predictions(
     preds = np.asarray(preds, dtype=int)
     if labels.shape != preds.shape or labels.size == 0:
         raise ConfigurationError("labels and predictions must match and be non-empty")
+    if not (np.isin(labels, STATES).all() and np.isin(preds, STATES).all()):
+        raise ConfigurationError(f"labels and predictions must be states {STATES}")
     per_state = {}
     confusion = np.zeros((len(STATES), len(STATES)), dtype=int)
     np.add.at(confusion, (labels, preds), 1)

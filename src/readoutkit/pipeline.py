@@ -72,7 +72,7 @@ from .nn.optim import TrainConfig
 from .nn.serialize import HIDDEN, LSTM_HIDDEN, OUTPUT, OUTPUT_BIAS, load_model, save_model
 from .nn.train import train
 from .pathsig import batch_signature, path_transform, signature_length
-from .sim import STATES, Dataset, RawShot, shot_format
+from .sim import STATES, Dataset, RawShot, _usable_cpus, shot_format
 
 _MAPPING = Field(lambda v: isinstance(v, Mapping), "a mapping")  # checked by its own table
 _FINITE = Field(is_finite_number, "a finite number", REQUIRED)
@@ -359,7 +359,7 @@ def _front_end_pool() -> tuple[int, ThreadPoolExecutor | None]:
     kept lets its threads exit once its call is done."""
     global _front_end
     if _front_end is None or _front_end[0] != os.getpid():
-        count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        count = _usable_cpus()
         pool = ThreadPoolExecutor(count - 1, "readoutkit-front-end") if count > 1 else None
         _front_end = (os.getpid(), count, pool)
     return _front_end[1:]

@@ -28,17 +28,14 @@ regeneration replays the same scan and renders nothing, so the same
 ``(cfg, shots_per_state)`` always yields the same bytes and the same paths.
 
 A dataset of at least ``POOL_MIN_SAMPLES`` samples is rendered on every
-usable CPU (``os.sched_getaffinity``), with no option: this process scans
-the attempts and ships each retained shot's row, path and post-herald
-PCG64 ``(state, inc)`` integers (with the generator's buffered-word fields),
-in tasks of ``_POOL_CHUNK`` shots, to worker processes forked from it (no
-more than there are tasks), which render into the block, an anonymous
-shared mapping made before the fork.  A stream continued from its shipped
-state draws what the live stream would, so the bytes do not depend on the
-worker count.  Smaller datasets (below that, the pool's start-up outweighs
-its gain), a single usable CPU, a platform without
-``os.sched_getaffinity`` and a daemonic process (which may not have
-children) render in this process from the scan's live streams.
+usable CPU (``os.sched_getaffinity``), with no option: its rows are split
+into one contiguous share per CPU, this process scans every attempt and
+renders the last share, and each worker process forked from it replays the
+scan up to its own share's end and renders that share into the block, an
+anonymous shared mapping made before the fork.  Every row is rendered from
+its live stream, so the bytes do not depend on the worker count.  Smaller
+datasets, a single usable CPU, a platform without ``os.sched_getaffinity``
+and a daemonic process (which may not have children) render in this process.
 """
 
 from __future__ import annotations
@@ -88,13 +85,11 @@ SIM_FIELDS = {
 
 # In-memory dataset size guard for generate_dataset (float32 samples).
 MAX_DATASET_BYTES = 4 << 30
-# Datasets of fewer samples (shots x samples per shot) render in-process:
-# the pool's start-up costs about as much as it saves at ~3000 shots of the
-# default config (2 vCPUs, median of 5: 600 shots 0.065 s in-process and
-# 0.114 s pooled, 3000 shots 0.288 and 0.281 s, 6000 shots 0.580 and 0.431 s).
+# Datasets of fewer samples (shots x samples per shot), ~4200 shots of the
+# default config, render in-process.  The pool breaks even near 1400 shots
+# (2 vCPUs, median of 21 interleaved: 600 shots 0.027 s in-process and
+# 0.040 s pooled, 3000 shots 0.125 and 0.099 s, 6000 shots 0.253 and 0.183 s).
 POOL_MIN_SAMPLES = 1 << 23
-# retained shots per task shipped to a render worker
-_POOL_CHUNK = 256
 # attempt ids whose streams the scan seeds in one pass
 _SEED_BLOCK = 1024
 # numpy's SeedSequence (NEP 19) and PCG64 seeding constants
@@ -304,13 +299,13 @@ def _stream_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
     return out
 
 
-def _load(bit_generator, state: int, inc: int, has_uint32: int = 0, uinteger: int = 0) -> None:
-    """Set a PCG64 bit generator to the given stream position."""
+def _load(bit_generator, state: int, inc: int) -> None:
+    """Set a PCG64 bit generator to the start of the given stream."""
     bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
+        "has_uint32": 0,
+        "uinteger": 0,
     }
 
 
@@ -487,33 +482,44 @@ def _check_shots_per_state(shots_per_state) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """Usable CPUs (``os.sched_getaffinity``), or 1 where that call is missing."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _pool_workers() -> int:
-    """Processes to render with: every usable CPU, or 1 (render in this
-    process) without ``os.sched_getaffinity`` or in a daemonic process."""
-    if not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
-        return 1
-    return len(os.sched_getaffinity(0))
+    """Processes to render with: every usable CPU, or 1 in a daemonic process."""
+    return 1 if multiprocessing.current_process().daemon else _usable_cpus()
 
 
-_worker = None  # (renderer, block, generator) of a render worker
+def _render_share(render: _Renderer, block: np.ndarray, scan, lo: int, hi: int) -> list:
+    """Render rows ``[lo, hi)`` from the live streams of ``scan``, drawn up to
+    row ``hi``; returns the ``(attempt_id, path)`` of rows ``[0, hi)``."""
+    kept = []
+    for row, (attempt, path, rng) in enumerate(itertools.islice(scan, hi)):
+        if row >= lo:
+            block[row] = render.samples(path, rng)
+        kept.append((attempt, path))
+    return kept
+
+
+_worker = None  # (renderer, block) of a render worker
 
 
 def _start_worker(render: _Renderer, block: np.ndarray) -> None:
     global _worker
-    _worker = (render, block, np.random.Generator(np.random.PCG64(0)))
+    _worker = (render, block)
 
 
-def _render_rows(tasks) -> None:
-    """Render each ``(row, path, stream)`` into its row of the block, where
-    ``stream`` holds the arguments of ``_load``."""
-    render, block, rng = _worker
-    for row, path, stream in tasks:
-        _load(rng.bit_generator, *stream)
-        block[row] = render.samples(path, rng)
+def _render_worker(shots_per_state: int, lo: int, hi: int) -> None:
+    render, block = _worker
+    _render_share(render, block, _scan(render.cfg, shots_per_state), lo, hi)
 
 
-def _render_pooled(render: _Renderer, block: np.ndarray, scan, workers: int) -> list:
-    """Scan here, render in ``workers`` forked processes; returns the
+def _render_pooled(render: _Renderer, block: np.ndarray, shots_per_state: int, workers: int):
+    """Render the block's rows in ``workers`` contiguous shares: this
+    process renders the last and ``workers - 1`` forked processes the
+    others, each replaying the scan up to its share's end; returns the
     retained ``(attempt_id, path)`` pairs.  Every worker has exited when
     this returns or raises.
 
@@ -522,24 +528,19 @@ def _render_pooled(render: _Renderer, block: np.ndarray, scan, workers: int) -> 
     named segment.  Workers call no BLAS, so a BLAS thread pool alive at
     the fork does not reach them.
     """
-    kept, tasks, futures = [], [], []
+    bounds = [len(block) * k // workers for k in range(workers + 1)]
     pool = ProcessPoolExecutor(
-        workers,
+        workers - 1,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
         initargs=(render, block),
     )
     try:
-        for row, (attempt, path, rng) in enumerate(scan):
-            kept.append((attempt, path))
-            st = rng.bit_generator.state
-            stream = st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"]
-            tasks.append((row, path, stream))
-            if len(tasks) == _POOL_CHUNK:
-                futures.append(pool.submit(_render_rows, tasks))
-                tasks = []
-        if tasks:
-            futures.append(pool.submit(_render_rows, tasks))
+        futures = [
+            pool.submit(_render_worker, shots_per_state, lo, hi)
+            for lo, hi in zip(bounds[:-2], bounds[1:-1])
+        ]
+        kept = _render_share(render, block, _scan(render.cfg, shots_per_state), *bounds[-2:])
         for future in futures:
             future.result()
     finally:
@@ -563,9 +564,7 @@ def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
             f"requested dataset would need ~{rows * n * 4 >> 20} MiB of sample storage"
         )
 
-    workers = 1
-    if rows * n >= POOL_MIN_SAMPLES:
-        workers = min(_pool_workers(), -(-rows // _POOL_CHUNK))  # no idle workers
+    workers = min(_pool_workers(), rows) if rows * n >= POOL_MIN_SAMPLES else 1
     # the block comes before the renderer's tables, so that a heap block can
     # take the space a dropped dataset left: made after them, it missed that
     # space whenever a table split it (which the front-end threads' timing
@@ -576,14 +575,10 @@ def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
     else:
         block = np.empty((rows, n), np.float32)
     render = _Renderer(cfg)
-    scan = _scan(cfg, shots_per_state)
     if workers > 1:
-        kept = _render_pooled(render, block, scan, workers)
+        kept = _render_pooled(render, block, shots_per_state, workers)
     else:
-        kept = []
-        for row, (attempt, path, rng) in enumerate(scan):
-            block[row] = render.samples(path, rng)
-            kept.append((attempt, path))
+        kept = _render_share(render, block, _scan(cfg, shots_per_state), 0, rows)
     shots = [
         RawShot(block[row], path.initial_state, True, path, attempt, cfg.sample_rate)
         for row, (attempt, path) in enumerate(kept)

@@ -113,6 +113,16 @@ def test_report_requires_every_state():
         report_from_predictions(np.array([0, 1, 2]), np.array([0, 1]))
 
 
+def test_report_refuses_labels_and_predictions_outside_the_states():
+    # a -1 would index the confusion matrix's last column, state 2's
+    with pytest.raises(ConfigurationError, match="must be states"):
+        report_from_predictions(np.array([0, 1, 2, 2]), np.array([0, 1, -1, 2]))
+    with pytest.raises(ConfigurationError, match="must be states"):
+        report_from_predictions(np.array([0, 1, 2]), np.array([0, 1, 3]))
+    with pytest.raises(ConfigurationError, match="must be states"):
+        report_from_predictions(np.array([0, 1, 2, 5]), np.array([0, 1, 2, 2]))
+
+
 def test_report_to_dict_is_json_ready():
     import json
 

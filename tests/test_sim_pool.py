@@ -2,9 +2,10 @@
 
 The pool runs only above ``sim.POOL_MIN_SAMPLES`` and with more than one
 usable CPU, so these tests lower the threshold and set the worker count.
-One worker renders in-process from the scan's live streams; two and three
-render in forked workers from shipped stream states.  Every test also
-checks that no worker outlives the call.  The front end's threads
+One worker renders every row in-process; more split the rows into
+contiguous shares, the caller rendering the last and each forked worker
+another, each from its own replay of the scan.  Every test also checks
+that no worker outlives the call.  The front end's threads
 (``pipeline.preprocess_batch``) may be alive when a render pool forks, and
 a process forked after them makes its own.
 """
@@ -30,10 +31,8 @@ INGEST_PHYSICS = dict(duration=200.0, phase_noise_sigma=0.002, herald_error=0.05
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Force the pool at any size, in tasks of 64 shots so that small
-    datasets still make several; returns a setter for the worker count."""
+    """Force the pool at any size; returns a setter for the worker count."""
     monkeypatch.setattr(sim, "POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(sim, "_POOL_CHUNK", 64)
 
     def set_count(count):
         monkeypatch.setattr(sim, "_pool_workers", lambda: count)
@@ -51,19 +50,35 @@ def _columns(ds):
     )
 
 
-@pytest.mark.parametrize("physics", ["ingest", "decaying"])
-def test_dataset_bytes_do_not_depend_on_worker_count(workers, decaying_config, physics):
+def _share_bounds(rows, count):
+    return [rows * k // count for k in range(1, count)]
+
+
+@pytest.mark.parametrize(
+    "physics, shots",
+    [
+        pytest.param("ingest", 300, id="ingest"),
+        pytest.param("decaying", 300, id="decaying"),
+        pytest.param("ingest", 301, id="ingest-uneven-shares"),
+    ],
+)
+def test_dataset_bytes_do_not_depend_on_worker_count(workers, decaying_config, physics, shots):
     cfg = SimConfig(**INGEST_PHYSICS) if physics == "ingest" else decaying_config
-    # 3 x 300 rows: state boundaries fall inside tasks
+    counts = (1, 2, 3, 7)
     runs = {}
-    for count in (1, 2, 3):
+    for count in counts:
         workers(count)
-        runs[count] = _columns(generate_dataset(cfg, 300))
+        runs[count] = _columns(generate_dataset(cfg, shots))
         assert multiprocessing.active_children() == []
-    assert runs[1] == runs[2] == runs[3]
+    assert all(runs[count] == runs[1] for count in counts)
     ids, paths = runs[1][3], runs[1][4]
+    bounds = {b for count in counts for b in _share_bounds(3 * shots, count)}
+    assert any(b % shots for b in bounds)  # a share starts inside a state
     if physics == "ingest":
         assert ids[-1] + 1 > len(ids)  # the scan rejected some attempts
+        if shots == 301:
+            # a share starts right after rejected attempts
+            assert any(ids[b] - ids[b - 1] > 1 for b in bounds)
     else:
         assert any(path.has_transition for path in paths)
 
@@ -89,23 +104,39 @@ def test_pooled_samples_are_rows_of_one_block(workers):
     assert all(s.samples.dtype == np.float32 and s.samples.flags.writeable for s in ds.shots)
 
 
-def test_herald_limit_leaves_no_worker(workers, monkeypatch):
-    workers(2)
-    monkeypatch.setattr(sim, "_POOL_CHUNK", 2)  # so tasks are out when the scan gives up
+def test_herald_limit_leaves_no_worker(workers):
+    workers(3)  # every process's scan gives up
     cfg = replace(SimConfig(**INGEST_PHYSICS), herald_error=0.995)
     with pytest.raises(DataError, match="herald rejection rate"):
         generate_dataset(cfg, 20)
     assert multiprocessing.active_children() == []
 
 
+def _fail_in(where, monkeypatch):
+    """Make rendering raise in the caller only, or in the workers only."""
+    caller = os.getpid()
+    samples = sim._Renderer.samples
+
+    def render(self, path, rng):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise FloatingPointError(f"render failed in the {where}")
+        return samples(self, path, rng)
+
+    monkeypatch.setattr(sim._Renderer, "samples", render)
+
+
 def test_worker_exception_reaches_the_caller(workers, monkeypatch):
     workers(2)
+    _fail_in("worker", monkeypatch)
+    with pytest.raises(FloatingPointError, match="render failed in the worker"):
+        generate_dataset(SimConfig(**INGEST_PHYSICS), 300)
+    assert multiprocessing.active_children() == []
 
-    def fail(self, path, rng):
-        raise FloatingPointError("render failed in a worker")
 
-    monkeypatch.setattr(sim._Renderer, "samples", fail)
-    with pytest.raises(FloatingPointError, match="render failed in a worker"):
+def test_caller_exception_leaves_no_worker(workers, monkeypatch):
+    workers(3)
+    _fail_in("caller", monkeypatch)
+    with pytest.raises(FloatingPointError, match="render failed in the caller"):
         generate_dataset(SimConfig(**INGEST_PHYSICS), 300)
     assert multiprocessing.active_children() == []
 
@@ -124,20 +155,26 @@ def test_no_pool_without_affinity_call_or_in_a_daemon(monkeypatch):
 def test_pool_runs_only_from_the_sample_threshold(monkeypatch):
     pooled = []
 
-    def render_pooled(render, block, scan, workers):
-        pooled.append((block.size, workers))
+    def pool(max_workers, **kwargs):
+        pooled.append(max_workers)
         raise FloatingPointError("pooled")
 
     monkeypatch.setattr(sim, "_pool_workers", lambda: 3)
-    monkeypatch.setattr(sim, "_render_pooled", render_pooled)
-    monkeypatch.setattr(sim, "_POOL_CHUNK", 16)  # 30 shots make 2 tasks, so 2 workers
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", pool)
     cfg = SimConfig(**INGEST_PHYSICS)  # 400 samples per shot
     monkeypatch.setattr(sim, "POOL_MIN_SAMPLES", 3 * 10 * 400 + 1)
     assert len(generate_dataset(cfg, 10)) == 30
     monkeypatch.setattr(sim, "POOL_MIN_SAMPLES", 3 * 10 * 400)
     with pytest.raises(FloatingPointError):
         generate_dataset(cfg, 10)
-    assert pooled == [(3 * 10 * 400, 2)]
+    # the caller renders the last share
+    assert pooled == [2]
+    # no more processes than rows
+    monkeypatch.setattr(sim, "_pool_workers", lambda: 8)
+    monkeypatch.setattr(sim, "POOL_MIN_SAMPLES", 0)
+    with pytest.raises(FloatingPointError):
+        generate_dataset(cfg, 2)
+    assert pooled == [2, 5]
 
 
 def _front_end_digest(shots, stages, conn):
