@@ -140,8 +140,7 @@ def cmd_compare(args) -> int:
     baseline = pl.train_pipeline(train_shots, desc_baseline)
     primary = pl.train_pipeline(train_shots, desc_primary, log_fn=_log_epoch)
 
-    cfg = dataset.config or SimConfig()
-    comparison = evaluation.compare_pipelines(primary, baseline, test_shots, cfg.f_if)
+    comparison = evaluation.compare_pipelines(primary, baseline, test_shots)
     rep_p, rep_b = comparison.primary, comparison.baseline
     print()
     print(evaluation.fidelity_table([rep_b, rep_p]))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .pipeline import TrainedPipeline, integrated_points
+from .pipeline import TrainedPipeline, demodulation_frequency, integrated_points
 from .sim import STATES, RawShot
 
 
@@ -206,12 +206,13 @@ class Comparison:
 
 
 def compare_pipelines(
-    primary: TrainedPipeline, baseline: TrainedPipeline, shots: list[RawShot], frequency: float
+    primary: TrainedPipeline, baseline: TrainedPipeline, shots: list[RawShot]
 ) -> Comparison:
     """Evaluate both pipelines once on ``shots`` and partition the shots by
-    which of them got each right; ``frequency`` demodulates the integrated
-    points the disagreement report keeps."""
+    which of them got each right; the disagreement report's integrated
+    points use the baseline's own ``demodulate`` frequency."""
     rep_b, rep_p = evaluate(baseline, shots), evaluate(primary, shots)
+    frequency = demodulation_frequency(baseline.descriptor)
     dis = disagreements(shots, rep_p.predictions, rep_b.predictions, frequency)
     return Comparison(primary=rep_p, baseline=rep_b, disagreements=dis)
 

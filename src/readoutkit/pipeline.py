@@ -72,7 +72,7 @@ from .nn.optim import TrainConfig
 from .nn.serialize import HIDDEN, LSTM_HIDDEN, OUTPUT, OUTPUT_BIAS, load_model, save_model
 from .nn.train import train
 from .pathsig import batch_signature, path_transform, signature_length
-from .sim import STATES, Dataset, RawShot, _usable_cpus, shot_format
+from .sim import STATES, RawShot, _usable_cpus, shot_format
 
 _MAPPING = Field(lambda v: isinstance(v, Mapping), "a mapping")  # checked by its own table
 _FINITE = Field(is_finite_number, "a finite number", REQUIRED)
@@ -286,16 +286,16 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
 
     Returns the same array as :func:`apply_stages`, the batch axis first.
     The calling thread runs a block's first slice and this process's
-    front-end threads (:func:`_front_end_pool`) run the others; each slice
-    stacks its shots straight into float64 (exact for float32 samples),
-    checks them and runs the stages, and its rows go into one preallocated
-    output.  The next block starts when every slice of this one has
-    finished, so memory is bounded by one block, not by the shots.  Every
-    stage works per trace and calls no BLAS, so a shot's row has the same
-    bytes in any block, in any slice and at any thread count.  A one-shot
-    call (every ``predict_one``) is one slice and runs inline without
-    looking up the threads.  This is where training and prediction check
-    their shots, before the stages run on them:
+    front-end threads (:func:`_front_end_pool`, cached per process id) run
+    the others; each slice stacks its shots straight into float64 (exact
+    for float32 samples), checks them and runs the stages, and its rows go
+    into one preallocated output.  The next block starts when every slice
+    of this one has finished, so memory is bounded by one block, not by the
+    shots.  Every stage works per trace and calls no BLAS, so a shot's row
+    has the same bytes in any block, in any slice and at any thread count.
+    A one-shot call (every ``predict_one``) is one slice and runs inline
+    without looking up the threads.  This is where training and prediction
+    check their shots, before the stages run on them:
 
     - the list is not empty (``ConfigurationError``);
     - the shots share length and rate (``DataError``, from :func:`shot_format`);
@@ -311,7 +311,7 @@ def preprocess_batch(shots: list[RawShot], stages: list[dict]) -> np.ndarray:
     n, rate = shot_format(shots)
     if n == 0:
         raise DataError("the shots have no samples")
-    count, pool = (1, None) if len(shots) == 1 else _front_end_pool()
+    count, pool = (1, None) if len(shots) == 1 else _front_end_pool(os.getpid())
     out = None
     for s in batch_blocks(len(shots)):
         size = min(s.stop, len(shots)) - s.start
@@ -346,23 +346,20 @@ def _stage_rows(shots: list[RawShot], rows: slice, rate: float, stages: list[dic
     return apply_stages(block, rate, stages)
 
 
-# (pid, slices per block, threads for all but the first slice or None); a
-# forked child inherits the tuple but not the threads, so it makes its own
-_front_end = None
+@functools.cache
+def _front_end_pool(pid: int) -> tuple[int, ThreadPoolExecutor | None]:
+    """This process's front-end threads, cached by ``pid`` (``os.getpid()``):
+    one slice per usable CPU (``os.sched_getaffinity``, or 1 where that call
+    is missing), the calling thread running the first.  A forked child's pid
+    misses the cache it inherits, so it makes its own pool; two threads that
+    race here may each make one, and the one not kept lets its threads exit."""
+    count = _usable_cpus()
+    return count, ThreadPoolExecutor(count - 1, "readoutkit-front-end") if count > 1 else None
 
 
-def _front_end_pool() -> tuple[int, ThreadPoolExecutor | None]:
-    """This process's front-end threads: one slice per usable CPU
-    (``os.sched_getaffinity``, or 1 where that call is missing), the
-    calling thread running the first.  Made on the first call in each
-    process; two threads that race here each make a pool, and the one not
-    kept lets its threads exit once its call is done."""
-    global _front_end
-    if _front_end is None or _front_end[0] != os.getpid():
-        count = _usable_cpus()
-        pool = ThreadPoolExecutor(count - 1, "readoutkit-front-end") if count > 1 else None
-        _front_end = (os.getpid(), count, pool)
-    return _front_end[1:]
+def demodulation_frequency(desc: dict) -> float:
+    """The frequency of the descriptor's ``demodulate`` stage."""
+    return next(st["frequency"] for st in desc["stages"] if st["op"] == "demodulate")
 
 
 def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
@@ -487,11 +484,7 @@ class TrainedPipeline:
         return cls(desc, model, n, rate)
 
 
-def train_pipeline(
-    dataset: Dataset | list[RawShot],
-    descriptor: dict,
-    log_fn=None,
-) -> TrainedPipeline:
+def train_pipeline(shots: list[RawShot], descriptor: dict, log_fn=None) -> TrainedPipeline:
     """Fit the descriptor's model on the given shots.
 
     The gmm model is a closed-form fit; lstm and dense run the mini-batch
@@ -501,7 +494,6 @@ def train_pipeline(
     integrated points and weighs each sample by the posterior it assigns to
     the sample's own label.  :func:`preprocess_batch` checks the shots.
     """
-    shots = list(dataset)
     desc = normalize_descriptor(descriptor)
     X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]))
     # preprocess_batch has checked that every shot shares the first's format
@@ -513,8 +505,7 @@ def train_pipeline(
 
     weighting = desc["weighting"]
     if weighting["kind"] == "gmm_confidence":
-        frequency = next(st["frequency"] for st in desc["stages"] if st["op"] == "demodulate")
-        pts = integrated_points(shots, frequency)
+        pts = integrated_points(shots, demodulation_frequency(desc))
         ref = GmmClassifier.fit(pts, labels)
         weights = ref.confidence_weights(pts, labels, floor=weighting["floor"])
     else:

@@ -40,6 +40,7 @@ and a daemonic process (which may not have children) render in this process.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import mmap
@@ -208,7 +209,8 @@ class RawShot:
 
 @dataclass
 class Dataset:
-    """An immutable collection of shots plus the config that produced it."""
+    """An immutable collection of shots plus the config that produced it, and
+    a sequence of those shots: every call that takes a list of shots takes it."""
 
     shots: list[RawShot]
     config: SimConfig | None = None
@@ -218,6 +220,9 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.shots)
+
+    def __getitem__(self, index):
+        return self.shots[index]
 
     @property
     def labels(self) -> np.ndarray:
@@ -520,8 +525,10 @@ def _render_pooled(render: _Renderer, block: np.ndarray, shots_per_state: int, w
     """Render the block's rows in ``workers`` contiguous shares: this
     process renders the last and ``workers - 1`` forked processes the
     others, each replaying the scan up to its share's end; returns the
-    retained ``(attempt_id, path)`` pairs.  Every worker has exited when
-    this returns or raises.
+    retained ``(attempt_id, path)`` pairs.  One worker opens no pool and
+    renders every row here.  Every worker has exited when this returns or
+    raises: the pool's ``with`` block waits for them all, and every task
+    goes to the workers at once, so there is none to cancel.
 
     Fork, not spawn: a forked worker inherits the renderer's tables and the
     shared block, where a spawned one would import numpy afresh and need a
@@ -529,13 +536,15 @@ def _render_pooled(render: _Renderer, block: np.ndarray, shots_per_state: int, w
     the fork does not reach them.
     """
     bounds = [len(block) * k // workers for k in range(workers + 1)]
-    pool = ProcessPoolExecutor(
-        workers - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(render, block),
-    )
-    try:
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            workers - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(render, block),
+        )
+    with pool:
         futures = [
             pool.submit(_render_worker, shots_per_state, lo, hi)
             for lo, hi in zip(bounds[:-2], bounds[1:-1])
@@ -543,8 +552,6 @@ def _render_pooled(render: _Renderer, block: np.ndarray, shots_per_state: int, w
         kept = _render_share(render, block, _scan(render.cfg, shots_per_state), *bounds[-2:])
         for future in futures:
             future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
     return kept
 
 
@@ -574,11 +581,7 @@ def generate_dataset(cfg: SimConfig, shots_per_state: int) -> Dataset:
         block = np.frombuffer(mmap.mmap(-1, rows * n * 4), np.float32).reshape(rows, n)
     else:
         block = np.empty((rows, n), np.float32)
-    render = _Renderer(cfg)
-    if workers > 1:
-        kept = _render_pooled(render, block, shots_per_state, workers)
-    else:
-        kept = _render_share(render, block, _scan(cfg, shots_per_state), 0, rows)
+    kept = _render_pooled(_Renderer(cfg), block, shots_per_state, workers)
     shots = [
         RawShot(block[row], path.initial_state, True, path, attempt, cfg.sample_rate)
         for row, (attempt, path) in enumerate(kept)

@@ -43,21 +43,29 @@ def decaying_dataset(decaying_config):
 
 @pytest.fixture
 def front_end_threads(monkeypatch):
-    """Returns a setter for the usable CPU count the front end reads, and
-    drops this process's front-end pool so that the next call makes one of
-    that many slices per block; the last pool made is shut down after the
-    test."""
+    """Returns a setter for the usable CPU count the front end reads (None
+    removes ``os.sched_getaffinity``), which clears the front-end pool cache
+    so that the next call makes one of that many slices per block; after
+    the test the last pool made is shut down and the cache cleared, so the
+    next test makes its own."""
 
     counts = []
 
     def set_count(count):
         counts.append(count)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-        monkeypatch.setattr(pipeline, "_front_end", None)
+        if count is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            cpus = set(range(count))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        pipeline._front_end_pool.cache_clear()
 
     yield set_count
-    if counts and pipeline._front_end is not None and pipeline._front_end[2] is not None:
-        pipeline._front_end[2].shutdown()
+    if counts:
+        _, pool = pipeline._front_end_pool(os.getpid())
+        if pool is not None:
+            pool.shutdown()
+        pipeline._front_end_pool.cache_clear()
 
 
 @pytest.fixture

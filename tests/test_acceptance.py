@@ -229,7 +229,7 @@ def benchmark_runs():
         desc["train"] = {"epochs": 100, "learning_rate": 1e-3, "seed": seed}
         lstm = rk.train_pipeline(nn_train, desc)
 
-        runs[seed] = rk.compare_pipelines(lstm, gmm, test_shots, cfg.f_if)
+        runs[seed] = rk.compare_pipelines(lstm, gmm, test_shots)
         del train_shots, test_shots, nn_train
     return {"runs": runs, "elapsed": time.perf_counter() - t0}
 

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from readoutkit import Dataset, RawShot, load_dataset, lstm_param_count, save_dataset
+from readoutkit import Dataset, RawShot, canonical_json, evaluate, load_dataset, lstm_param_count
+from readoutkit import normalize_descriptor, save_dataset, stratified_split, train_pipeline
 from readoutkit.cli import main
 from readoutkit.dataio import sidecar_path
 
@@ -154,6 +155,40 @@ def test_compare_reports_gap_and_forensics(workdir, capsys):
     assert f"gap (quick_lstm - gmm): {gap:+.4f} +/- {stderr:.4f} (paired stderr)\n" in out
     # regenerated ground truth makes the transition census available
     assert "primary_only_transition_fraction" in payload["disagreements"]
+
+
+def test_compare_seed_trains_the_primary_with_that_seed(workdir, capsys):
+    data = simulate(workdir)
+    reports = {}
+    for seed in (None, 7):
+        out = workdir / f"cmp-{seed}.json"
+        extra = () if seed is None else ("--seed", str(seed))
+        args = ["compare", "--data", str(data), "--pipeline", str(workdir / "pipeline.json")]
+        assert main([*args, *extra, "--out", str(out)]) == 0
+        reports[seed] = json.loads(out.read_text())["primary"]
+    capsys.readouterr()
+    train_shots, test_shots = stratified_split(load_dataset(data).shots)
+    desc = normalize_descriptor(QUICK_PIPELINE)
+    desc["train"]["seed"] = 7
+    want = evaluate(train_pipeline(train_shots, desc), test_shots).to_dict()
+    assert reports[7] == json.loads(canonical_json(want))
+    assert reports[7] != reports[None]  # the file's seed 0 trains another model
+
+
+def test_compare_prints_the_transition_fraction_of_primary_only_wins(workdir, capsys):
+    # with decay, the gmm wins shots a 1-epoch lstm misses, some with transitions
+    (workdir / "config.json").write_text(json.dumps({**QUICK_CONFIG, "t1": [400.0, 300.0]}))
+    data = simulate(workdir)
+    baseline = workdir / "baseline.json"
+    baseline.write_text(json.dumps({**QUICK_PIPELINE, "name": "lstm_1", "train": {"epochs": 1}}))
+    summary = workdir / "cmp.json"
+    args = ["--data", str(data), "--pipeline", "gmm", "--baseline", str(baseline)]
+    assert main(["compare", *args, "--out", str(summary)]) == 0
+    out = capsys.readouterr().out
+    dis = json.loads(summary.read_text())["disagreements"]
+    frac = dis["primary_only_transition_fraction"]
+    assert dis["primary_only_correct"] > 0 and 0 < frac < 1
+    assert f"fraction of gmm-only wins with a mid-readout transition: {frac:.3f}\n" in out
 
 
 def test_export_csv_and_svg(workdir, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from readoutkit import (
     disagreements,
     evaluate,
     fidelity_table,
+    preprocess_batch,
     report_from_predictions,
     scatter_svg,
     standard_pipelines,
@@ -272,7 +274,7 @@ def test_compare_pipelines_is_both_reports_and_their_disagreements(quiet_dataset
     train, test = stratified_split(quiet_dataset.shots)
     gmm = train_pipeline(train, standard_pipelines()["gmm"])
     lstm = train_pipeline(train, standard_pipelines(train={"epochs": 1, "seed": 0})["lstm"])
-    cmp = compare_pipelines(lstm, gmm, test, frequency=0.1)
+    cmp = compare_pipelines(lstm, gmm, test)
     assert cmp.primary.to_dict() == evaluate(lstm, test).to_dict()
     assert cmp.baseline.to_dict() == evaluate(gmm, test).to_dict()
     assert cmp.gap == cmp.primary.average - cmp.baseline.average
@@ -283,6 +285,44 @@ def test_compare_pipelines_is_both_reports_and_their_disagreements(quiet_dataset
     assert set(payload) == {"baseline", "primary", "gap", "gap_stderr", "disagreements"}
     assert payload["disagreements"] == want.summary()
     assert (payload["gap"], payload["gap_stderr"]) == (cmp.gap, cmp.gap_stderr)
+
+
+def test_compare_pipelines_integrates_at_the_baselines_frequency(quiet_dataset):
+    train, test = stratified_split(quiet_dataset.shots)
+    gmm = train_pipeline(train, standard_pipelines(frequency=0.11)["gmm"])
+    cmp = compare_pipelines(gmm, gmm, test)
+    assert cmp.disagreements.points.tobytes() == integrated_points(test, 0.11).tobytes()
+    assert cmp.disagreements.points.tobytes() != integrated_points(test, 0.1).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fitted(quiet_dataset):
+    """A 1-epoch lstm and a gmm, both trained on the quiet dataset."""
+    pipes = standard_pipelines(train={"epochs": 1, "seed": 0})
+    return train_pipeline(quiet_dataset, pipes["lstm"]), train_pipeline(quiet_dataset, pipes["gmm"])
+
+
+STAGES = standard_pipelines()["bandpass_lstm"]["stages"]
+SHOT_CALLS = {
+    "predict": lambda lstm, gmm, shots: lstm.predict(shots),
+    "predict_proba": lambda lstm, gmm, shots: lstm.predict_proba(shots),
+    "evaluate": lambda lstm, gmm, shots: evaluate(gmm, shots),
+    "compare_pipelines": lambda lstm, gmm, shots: compare_pipelines(lstm, gmm, shots),
+    "disagreements": lambda lstm, gmm, shots: disagreements(
+        shots, lstm.predict(shots), gmm.predict(shots), 0.1
+    ),
+    "preprocess_batch": lambda lstm, gmm, shots: preprocess_batch(shots, STAGES),
+    "integrated_points": lambda lstm, gmm, shots: integrated_points(shots, 0.1),
+    "train_pipeline": lambda lstm, gmm, shots: train_pipeline(shots, gmm.descriptor).model,
+    "stratified_split": lambda lstm, gmm, shots: stratified_split(shots),
+}
+
+
+@pytest.mark.parametrize("call", SHOT_CALLS)
+def test_a_dataset_is_taken_as_its_shots(fitted, quiet_dataset, call):
+    run = SHOT_CALLS[call]
+    on_dataset, on_shots = run(*fitted, quiet_dataset), run(*fitted, quiet_dataset.shots)
+    assert pickle.dumps(on_dataset) == pickle.dumps(on_shots)
 
 
 def test_scatter_svg_output(tmp_path, rng):

@@ -423,7 +423,7 @@ def test_one_shot_runs_inline_and_the_cpus_are_counted_once(front_end_threads, m
     stages = stock_stages("bandpass_lstm")
     front_end_threads(2)
 
-    def no_pool():
+    def no_pool(pid):
         raise AssertionError("a one-shot call looked up the front-end threads")
 
     with monkeypatch.context() as m:
@@ -438,9 +438,8 @@ def test_one_shot_runs_inline_and_the_cpus_are_counted_once(front_end_threads, m
     assert len(lookups) == 1
 
 
-def test_no_front_end_threads_without_an_affinity_call(monkeypatch, shots600):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(pipeline, "_front_end", None)
+def test_no_front_end_threads_without_an_affinity_call(front_end_threads, shots600):
+    front_end_threads(None)
     stages = stock_stages("lstm")
     preprocess_batch(shots600[:300], stages)
-    assert pipeline._front_end[1:] == (1, None)
+    assert pipeline._front_end_pool(os.getpid()) == (1, None)

@@ -177,11 +177,15 @@ def test_pool_runs_only_from_the_sample_threshold(monkeypatch):
     assert pooled == [2, 5]
 
 
-def _front_end_digest(shots, stages, conn):
-    """In a forked child: preprocess, then send the rows' digest and the pid
-    the child's front-end pool was made for."""
+def _front_end_digest(shots, stages, parent, conn):
+    """In a forked child: preprocess, then send the rows' digest, whether
+    the child's front-end pool is the one cached under its parent's pid,
+    and whether the child has front-end threads of its own."""
     arr = preprocess_batch(shots, stages)
-    conn.send((hashlib.sha256(arr.tobytes()).hexdigest(), pipeline._front_end[0], os.getpid()))
+    own = pipeline._front_end_pool(os.getpid())[1]
+    inherited = own is pipeline._front_end_pool(parent)[1]
+    threads = any(t.name.startswith("readoutkit-front-end") for t in threading.enumerate())
+    conn.send((hashlib.sha256(arr.tobytes()).hexdigest(), inherited, threads))
     conn.close()
 
 
@@ -204,15 +208,16 @@ def test_forks_after_front_end_threads(workers, front_end_threads):
     # a child reusing the parent's pool would wait forever on its threads
     ctx = multiprocessing.get_context("fork")
     here, there = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_front_end_digest, args=(shots, stages, there), daemon=True)
+    args = (shots, stages, os.getpid(), there)
+    child = ctx.Process(target=_front_end_digest, args=args, daemon=True)
     child.start()
     there.close()
     try:
         assert here.poll(60), "the forked child gave no rows"
-        digest, pool_pid, child_pid = here.recv()
+        digest, inherited, threads = here.recv()
         child.join(10)
     finally:
         child.kill()
     assert child.exitcode == 0
-    assert pool_pid == child_pid != os.getpid()
+    assert not inherited and threads
     assert digest == hashlib.sha256(rows.tobytes()).hexdigest()
