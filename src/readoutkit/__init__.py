@@ -44,12 +44,7 @@ from .nn import (
     save_model,
     train,
 )
-from .pathsig import (
-    batch_signature,
-    path_transform,
-    signature_length,
-    trajectory_signature,
-)
+from .pathsig import batch_signature, signature_length, trajectory_signature
 from .pipeline import (
     TrainedPipeline,
     normalize_descriptor,

@@ -40,6 +40,7 @@ from .errors import (
     IncompatibilityError,
     NumericalError,
 )
+from .nn import load_model
 from .sim import Dataset, SimConfig, decay_statistics, generate_dataset
 
 
@@ -211,6 +212,7 @@ def cmd_inspect(args) -> int:
             print(f"config sha256: {config_hash(dataset.config.to_dict())}")
             print(f"config: {canonical_json(dataset.config.to_dict())}")
     else:
+        load_model(args.model)  # a dataset or any other file is refused, as evaluate does
         meta = read_sidecar(sidecar_path(args.model), "model")
         print(f"model: {args.model}")
         for key in sorted(meta):

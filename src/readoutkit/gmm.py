@@ -102,13 +102,6 @@ class GmmClassifier:
         """Class indices; ties resolve to the lower index."""
         return np.argmax(self.log_posteriors(points), axis=1)
 
-    def confidence_weights(self, points: np.ndarray, labels: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        """Per-sample weight: the posterior mass this model assigns to the
-        sample's own label, clipped from below at ``floor``."""
-        proba = self.predict_proba(points)
-        w = proba[np.arange(len(labels)), np.asarray(labels, dtype=int)]
-        return np.maximum(w, floor)
-
     def arch(self) -> dict:
         return {"kind": "gmm", "n_classes": self.n_classes, "dim": self.dim}
 

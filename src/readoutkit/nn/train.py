@@ -15,13 +15,12 @@ def train(
     model,
     X: np.ndarray,
     labels: np.ndarray,
-    weights: np.ndarray | None = None,
     config: TrainConfig = TrainConfig(),
     log_fn: Callable[[dict], None] | None = None,
 ) -> list[dict]:
     """Fit ``model`` in place; returns one history record per epoch.
 
-    The epoch loss is the weight-averaged cross-entropy over the whole
+    The epoch loss is the mean cross-entropy per shot over the whole
     epoch.  A non-finite batch loss aborts training with the offending
     global batch index attached.
     """
@@ -29,12 +28,6 @@ def train(
     n = labels.shape[0]
     if len(X) != n:
         raise ConfigurationError("sample count mismatch between inputs and labels")
-    if weights is None:
-        weights = np.ones(n)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ConfigurationError("weights must be one value per sample")
 
     optimizer = Adam(model.param_arrays())
     history = []
@@ -47,15 +40,13 @@ def train(
             order = np.arange(n)
 
         loss_sum = 0.0
-        weight_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             xb = X[idx]
             yb = labels[idx]
-            wb = weights[idx]
 
             logits, cache = model.forward(xb)
-            loss, dlogits = weighted_cross_entropy(logits, yb, wb, output=model.output)
+            loss, dlogits = weighted_cross_entropy(logits, yb, output=model.output)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}", batch_index=batch_counter
@@ -63,14 +54,12 @@ def train(
             grads = model.backward(cache, dlogits)
             optimizer.step(grads, lr)
 
-            bw = float(np.sum(wb))
-            loss_sum += loss * bw
-            weight_sum += bw
+            loss_sum += loss * len(idx)
             batch_counter += 1
 
         record = {
             "epoch": epoch,
-            "loss": loss_sum / weight_sum if weight_sum > 0 else 0.0,
+            "loss": loss_sum / n if n else 0.0,
             "lr": lr,
         }
         history.append(record)

@@ -1,8 +1,7 @@
 """Path-space features for demodulated trajectories.
 
-Two feature maps live here: a causal weighted-increment transform applied
-channel-wise, and truncated path signatures of piecewise-linear paths in
-d dimensions.  A linear segment's signature is the truncated tensor
+The feature map here is the truncated path signature of a piecewise-linear
+path in d dimensions.  A linear segment's signature is the truncated tensor
 exponential of its displacement, and a path's signature is the
 tensor-algebra (Chen) product of its segments'.  :func:`batch_signature`
 fuses each step's exponential and product into one Horner update, the
@@ -16,25 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, is_integer
-
-
-def path_transform(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative sum of weighted increments along the last axis.
-
-    ``out[n] = sum_{m<=n} w[m] * (values[m] - values[m-1])`` with the
-    convention ``values[-1] = values[0]`` (the first increment is zero).
-    Uniform weights reduce this to ``values - values[0]``.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.shape[-1] == 0:
-        raise ConfigurationError("path_transform expects a non-empty series")
-    inc = np.diff(x, axis=-1, prepend=x[..., :1])
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (x.shape[-1],):
-            raise ConfigurationError("weights must match the series length")
-        inc = inc * w
-    return np.cumsum(inc, axis=-1)
 
 
 def _check_order(order) -> None:

@@ -18,8 +18,10 @@ Descriptor shape::
     }
 
 Stage rules: exactly one ``demodulate``; ``bandpass`` only before it;
-``bin`` and ``path_transform`` only after it; ``integrate`` only as the
-final stage, required by and exclusive to the ``gmm`` model.
+``bin`` only after it; ``integrate`` only as the final stage, required by
+and exclusive to the ``gmm`` model.  ``uniform`` is the only weighting and
+``signature`` the only dense feature type; a descriptor naming any other,
+a saved model's included, is refused.
 
 The front end returns one array: ``(batch, steps, 2)`` I-Q trajectories,
 or ``(batch, 2)`` points after ``integrate``.  A stage list that starts
@@ -71,7 +73,7 @@ from .nn.lstm import LstmNetwork
 from .nn.optim import TrainConfig
 from .nn.serialize import HIDDEN, LSTM_HIDDEN, OUTPUT, OUTPUT_BIAS, load_model, save_model
 from .nn.train import train
-from .pathsig import batch_signature, path_transform, signature_length
+from .pathsig import batch_signature, signature_length
 from .sim import STATES, RawShot, _usable_cpus, shot_format
 
 _MAPPING = Field(lambda v: isinstance(v, Mapping), "a mapping")  # checked by its own table
@@ -89,13 +91,6 @@ STAGE_FIELDS = {
     "bandpass": {"center": _FINITE, "half_width": NON_NEGATIVE._replace(default=REQUIRED)},
     "demodulate": {"frequency": _FINITE},
     "bin": {"size": SIZE._replace(default=REQUIRED)},
-    "path_transform": {
-        "weights": Field(
-            lambda v: v is None or isinstance(v, list) and all(map(is_finite_number, v)),
-            "null or a list of finite numbers",
-            None,
-        )
-    },
     "integrate": {},
 }
 MODEL_FIELDS = {
@@ -115,14 +110,8 @@ MODEL_FIELDS = {
 # at order k, so it is capped like the layer widths
 FEATURE_FIELDS = {
     "signature": {"order": Field(lambda v: is_size(v) and v <= 8, "an integer in [1, 8]", 5)},
-    "flat": {},
 }
-WEIGHTING_FIELDS = {
-    "uniform": {},
-    "gmm_confidence": {
-        "floor": Field(lambda v: is_finite_number(v) and 0 <= v <= 1, "a number in [0, 1]", 0.0)
-    },
-}
+WEIGHTING_FIELDS = {"uniform": {}}
 # the bin-domain front end: at most this many multiply-adds per raw sample
 # (it costs as much as the per-sample chain at about 10 on 2000-sample
 # traces and 6 on 400-sample ones; the stock pipelines need 1)
@@ -138,10 +127,9 @@ def normalize_descriptor(desc: dict) -> dict:
     """Fill defaults and validate; returns a deep copy safe to serialize.
 
     Each mapping is held to its table above, and the stage list to the
-    stage rules, so a bad descriptor raises ``ConfigurationError``.  Checks
-    that need the trace length (a ``bin`` longer than the trajectory,
-    ``path_transform`` weights of the wrong length) run when the stages
-    meet the data.
+    stage rules, so a bad descriptor raises ``ConfigurationError``.  The
+    one check that needs the trace length, a ``bin`` longer than the
+    trajectory, runs when the stages meet the data.
     """
     d = check(copy.deepcopy(desc), DESCRIPTOR_FIELDS, "descriptor")
     stages = [check(st, STAGE_FIELDS, f"stage {k}", tag="op") for k, st in enumerate(d["stages"])]
@@ -164,8 +152,6 @@ def normalize_descriptor(desc: dict) -> dict:
         raise ConfigurationError("integrate must be the final stage")
     if (ops[-1] == "integrate") != (model["kind"] == "gmm"):
         raise ConfigurationError("the gmm model takes a final integrate stage, and no other does")
-    if model["kind"] == "gmm" and d["weighting"]["kind"] != "uniform":
-        raise ConfigurationError("sample weighting applies to trainable models only")
     if model["kind"] != "gmm":
         d.setdefault("train", {})
     if "train" in d:
@@ -210,9 +196,6 @@ def _apply_per_sample(x: np.ndarray, rate: float, stages: list[dict]) -> np.ndar
                     f"bin size {st['size']} exceeds the {iq.shape[-1]}-step trajectory"
                 )
             iq = dsp.bin_average(iq, st["size"])
-        elif op == "path_transform":
-            w = st.get("weights")
-            iq = path_transform(iq, None if w is None else np.asarray(w, dtype=float))
         elif op == "integrate":
             iq = iq.mean(axis=-1)
     if iq is None:
@@ -363,24 +346,21 @@ def demodulation_frequency(desc: dict) -> float:
 
 
 def integrated_points(shots: list[RawShot], frequency: float) -> np.ndarray:
-    """Plain demodulate-and-average I-Q points, the baseline representation
-    used both by the gmm model and by confidence weighting."""
+    """Plain demodulate-and-average I-Q points, the gmm baseline's
+    representation: the disagreement report's points and the SVG export's."""
     stages = [{"op": "demodulate", "frequency": frequency}, {"op": "integrate"}]
     return preprocess_batch(shots, stages)
 
 
 def _model_inputs(desc: dict, arr: np.ndarray):
     """Map preprocessed output onto the model's input: the gmm model takes
-    it as it is, a dense model its feature vectors, and an lstm model its
+    it as it is, a dense model its signatures, and an lstm model its
     float32 copy, the dtype it trains and predicts in (see ``nn.lstm``)."""
     if desc["model"]["kind"] == "lstm":
         return arr.astype(np.float32)
     if desc["model"]["kind"] != "dense":
         return arr
-    features = desc["model"]["features"]
-    if features["type"] == "signature":
-        return batch_signature(arr, features["order"])
-    return arr.reshape(arr.shape[0], -1)
+    return batch_signature(arr, desc["model"]["features"]["order"])
 
 
 @dataclass
@@ -471,11 +451,9 @@ class TrainedPipeline:
             probe = apply_stages(np.zeros((1, n)), rate, desc["stages"])
         except ConfigurationError as e:
             raise FileFormatError(f"{sidecar}'s stages fail on a {n}-sample trace: {e}") from e
-        features = desc["model"].get("features", {})
-        if features.get("type") == "signature":
-            width = signature_length(probe.shape[-1], features["order"])
-        else:
-            width = _model_inputs(desc, probe).shape[-1]
+        width = probe.shape[-1]
+        if desc["model"]["kind"] == "dense":
+            width = signature_length(width, desc["model"]["features"]["order"])
         if width != takes:
             raise FileFormatError(
                 f"{sidecar}'s stages give {width} features per shot; the model in {path} "
@@ -489,10 +467,8 @@ def train_pipeline(shots: list[RawShot], descriptor: dict, log_fn=None) -> Train
 
     The gmm model is a closed-form fit; lstm and dense run the mini-batch
     trainer with the descriptor's optimization block, an lstm on float32
-    input against float64 weights (see ``nn.lstm``), as it predicts.  The
-    ``gmm_confidence`` weighting fits a reference Gaussian model on plain
-    integrated points and weighs each sample by the posterior it assigns to
-    the sample's own label.  :func:`preprocess_batch` checks the shots.
+    input against float64 weights (see ``nn.lstm``), as it predicts, every
+    shot weighing the same.  :func:`preprocess_batch` checks the shots.
     """
     desc = normalize_descriptor(descriptor)
     X = _model_inputs(desc, preprocess_batch(shots, desc["stages"]))
@@ -503,19 +479,11 @@ def train_pipeline(shots: list[RawShot], descriptor: dict, log_fn=None) -> Train
     if desc["model"]["kind"] == "gmm":
         return TrainedPipeline(desc, GmmClassifier.fit(X, labels), input_length, sample_rate)
 
-    weighting = desc["weighting"]
-    if weighting["kind"] == "gmm_confidence":
-        pts = integrated_points(shots, demodulation_frequency(desc))
-        ref = GmmClassifier.fit(pts, labels)
-        weights = ref.confidence_weights(pts, labels, floor=weighting["floor"])
-    else:
-        weights = None
-
     tc = TrainConfig.from_dict(desc.get("train", {}))
     arch = {**desc["model"], "input_dim": X.shape[-1], "output_dim": int(labels.max()) + 1}
     arch.pop("features", None)  # the dense model's feature map, not a network argument
     model = (LstmNetwork if arch["kind"] == "lstm" else DenseNetwork).from_arch(arch, seed=tc.seed)
-    train(model, X, labels, weights=weights, config=tc, log_fn=log_fn)
+    train(model, X, labels, config=tc, log_fn=log_fn)
     return TrainedPipeline(desc, model, input_length, sample_rate)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import struct
@@ -5,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from readoutkit import Dataset, RawShot, canonical_json, evaluate, load_dataset, lstm_param_count
-from readoutkit import normalize_descriptor, save_dataset, stratified_split, train_pipeline
+from readoutkit import Dataset, FileFormatError, LstmNetwork, RawShot, TrainedPipeline
+from readoutkit import canonical_json, evaluate, load_dataset, lstm_param_count
+from readoutkit import normalize_descriptor, save_dataset, save_model, stratified_split
+from readoutkit import train_pipeline
 from readoutkit.cli import main
 from readoutkit.dataio import sidecar_path
 
@@ -235,6 +238,57 @@ def test_inspect_dataset_and_model(workdir, capsys):
     out = capsys.readouterr().out
     assert "architecture:" in out
     assert "pipeline:" in out
+
+
+def test_inspect_refuses_a_dataset_passed_as_a_model(workdir, capsys):
+    data = simulate(workdir)
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(data)]) == 4
+    captured = capsys.readouterr()
+    assert "not a model file (bad magic)" in captured.err
+    assert "model:" not in captured.out
+    # a bare network file, with no pipeline in its sidecar, still inspects
+    bare = workdir / "bare.rkm"
+    save_model(LstmNetwork(input_dim=2, hidden=(3,), output_dim=3), bare)
+    assert main(["inspect", "--model", str(bare)]) == 0
+    assert "architecture:" in capsys.readouterr().out
+
+
+# descriptor knobs that no longer exist, each written into a descriptor
+# that is otherwise valid
+REMOVED_KNOBS = {
+    "path_transform": lambda d: d["stages"].append({"op": "path_transform"}),
+    "gmm_confidence": lambda d: d.update(weighting={"kind": "gmm_confidence"}),
+    "flat": lambda d: d["model"].update(features={"type": "flat"}),
+}
+
+
+@pytest.mark.parametrize("knob", list(REMOVED_KNOBS))
+def test_a_descriptor_naming_a_removed_knob_is_refused(workdir, capsys, knob):
+    data = simulate(workdir)
+    desc = copy.deepcopy(QUICK_PIPELINE)
+    if knob == "flat":
+        desc["model"] = {"kind": "dense", "hidden": [4]}
+    model = workdir / "model.rkm"
+    pipe = workdir / "pipeline.json"
+    pipe.write_text(json.dumps(desc))
+    assert main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(model)]) == 0
+    REMOVED_KNOBS[knob](desc)
+    pipe.write_text(json.dumps(desc))
+    other = workdir / "other.rkm"
+    assert main(["train", "--data", str(data), "--pipeline", str(pipe), "--out", str(other)]) == 2
+    assert not other.exists()
+
+    # a model saved with the knob, as an older version would have written it
+    sidecar = sidecar_path(model)
+    meta = json.loads(sidecar.read_text())
+    REMOVED_KNOBS[knob](meta["pipeline"])
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FileFormatError, match="invalid pipeline descriptor"):
+        TrainedPipeline.load(model)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 4
+    assert "invalid pipeline descriptor" in capsys.readouterr().err
 
 
 def test_unknown_pipeline_is_config_error(workdir, capsys):

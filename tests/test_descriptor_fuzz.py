@@ -40,22 +40,14 @@ BASES = [
             {"op": "bandpass", "center": 0.1, "half_width": 0.4},
             DEMOD,
             {"op": "bin", "size": 2},
-            {"op": "path_transform", "weights": [1.0, 0.5, 2.0]},
         ],
         "model": {"kind": "lstm", "hidden": [3], "output": "sigmoid", "output_bias": True},
-        "weighting": {"kind": "gmm_confidence", "floor": 0.1},
         "train": TRAIN,
     },
     {
         "name": "signature_dense",
         "stages": [DEMOD, {"op": "bin", "size": 2}],
         "model": {"kind": "dense", "hidden": [4], "features": {"type": "signature", "order": 2}},
-        "train": TRAIN,
-    },
-    {
-        "name": "flat_dense",
-        "stages": [DEMOD],
-        "model": {"kind": "dense", "hidden": [], "features": {"type": "flat"}},
         "train": TRAIN,
     },
 ]
@@ -73,6 +65,8 @@ PATHS = (
     + [("weighting", key) for key in ("kind", "floor")]
     + [("train", key) for key in TRAIN_KEYS]
 )
+# flat, gmm_confidence and path_transform name removed knobs: as values
+# and as field names they must be refused like any other unknown word
 WORDS = st.sampled_from(
     ["gmm", "lstm", "dense", "softmax", "sigmoid", "signature", "flat", "uniform",
      "gmm_confidence", "bandpass", "demodulate", "bin", "path_transform", "integrate"]
@@ -164,6 +158,8 @@ GMM, LSTM, DENSE = BASES[0], BASES[1], BASES[3]
         pytest.param({**LSTM, "train": {"epochs": "2"}}, id="train-epochs-string"),
         pytest.param({**LSTM, "train": [1]}, id="train-not-a-mapping"),
         pytest.param({**LSTM, "stages": [{**DEMOD, "frequency": "0.1"}]}, id="frequency-string"),
+        # the removed path_transform stage and gmm_confidence weighting are
+        # refused whatever their fields hold
         pytest.param(
             {**LSTM, "stages": [DEMOD, {"op": "path_transform", "weights": ["a"] * 6}]},
             id="weights-strings",
@@ -190,7 +186,7 @@ GMM, LSTM, DENSE = BASES[0], BASES[1], BASES[3]
             {**DENSE, "model": {**DENSE["model"], "output_bias": True}}, id="unknown-dense-field"
         ),
         pytest.param(
-            {**DENSE, "model": {"kind": "dense", "features": {"type": "flat", "order": 3}}},
+            {**DENSE, "model": {"kind": "dense", "features": {"type": "signature", "ordr": 3}}},
             id="unknown-features-field",
         ),
         pytest.param(

@@ -1,8 +1,8 @@
 """The bandpass-led front end evaluated per in-band DFT bin.
 
 The oracle is the per-sample chain the pipeline ran before: a full complex
-FFT, the brick-wall mask, a complex inverse FFT, then demodulate, bin,
-path_transform and integrate sample by sample.  The fold sums the same
+FFT, the brick-wall mask, a complex inverse FFT, then demodulate, bin
+and integrate sample by sample.  The fold sums the same
 linear map over the in-band coefficients, so it agrees to rounding; a
 stage list without a bandpass still runs the per-sample chain and matches
 the oracle byte for byte.  The front end's row slices on threads give
@@ -61,15 +61,6 @@ def oracle_stages(samples, rate, stages):
             steps = i.shape[-1] // size
             i = i[..., : steps * size].reshape(i.shape[:-1] + (steps, size)).mean(axis=-1)
             q = q[..., : steps * size].reshape(q.shape[:-1] + (steps, size)).mean(axis=-1)
-        elif op == "path_transform":
-            w = st.get("weights")
-            di = np.diff(i, axis=-1, prepend=i[..., :1])
-            dq = np.diff(q, axis=-1, prepend=q[..., :1])
-            if w is not None:
-                di = di * np.asarray(w, dtype=float)
-                dq = dq * np.asarray(w, dtype=float)
-            i = np.cumsum(di, axis=-1)
-            q = np.cumsum(dq, axis=-1)
         elif op == "integrate":
             i = i.mean(axis=-1)
             q = q.mean(axis=-1)
@@ -111,16 +102,7 @@ def test_stock_pipelines_match_oracle(block, name):
     assert relative_error(arr, o_arr) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "tail",
-    [
-        [{"op": "integrate"}],
-        [{"op": "bin", "size": 40}, {"op": "path_transform", "weights": None}],
-        [{"op": "bin", "size": 100}, {"op": "path_transform", "weights": [0.5, 2.0] * 10}],
-        [{"op": "path_transform", "weights": None}],
-    ],
-    ids=["integrate", "bin-path_transform", "weighted-path_transform", "path_transform"],
-)
+@pytest.mark.parametrize("tail", [[{"op": "integrate"}]], ids=["integrate"])
 def test_linear_tails_match_oracle(block, tail):
     stages = [bp(), demod()] + tail
     arr = apply_stages(block, 2.0, stages)
@@ -181,11 +163,9 @@ def test_stage_lists_without_bandpass_match_oracle_bytes(block, name):
         [],
         [{"op": "integrate"}],
         [{"op": "bin", "size": 40}],
-        [{"op": "bin", "size": 40}, {"op": "path_transform", "weights": None}],
-        [{"op": "bin", "size": 100}, {"op": "path_transform", "weights": [0.5, 2.0] * 10}],
         [{"op": "bin", "size": 40}, {"op": "integrate"}],
     ],
-    ids=["demod", "integrate", "bin", "bin-path_transform", "weighted", "bin-integrate"],
+    ids=["demod", "integrate", "bin", "bin-integrate"],
 )
 def test_one_iq_array_matches_per_channel_bytes(block, tail):
     """The chain carries I and Q as rows of one array; the oracle runs each
@@ -203,9 +183,8 @@ def test_one_iq_array_matches_per_channel_bytes(block, tail):
     [
         normalize_descriptor(standard_pipelines()["bandpass_lstm"])["stages"],
         [bp(), demod(), {"op": "integrate"}],
-        [bp(0.1, 0.02), demod(), {"op": "bin", "size": 40}, {"op": "path_transform"}],
     ],
-    ids=["bandpass_lstm", "integrate", "path_transform"],
+    ids=["bandpass_lstm", "integrate"],
 )
 def test_fold_responses_match_per_channel_bytes(stages):
     """The fold's response table is the rest of the list run on the basis
@@ -249,7 +228,6 @@ def test_bandpass_without_demodulate_still_rejected(block):
         # 20 coefficients times 4000 outputs: more than the per-sample chain
         ([bp(), demod()], False),
         ([bp(0.1, 0.05), demod(), {"op": "bin", "size": 40}], False),
-        ([bp(0.1, 0.05), demod(), {"op": "path_transform", "weights": None}], False),
     ],
 )
 def test_fold_runs_where_it_is_cheaper(block, stages, folds):

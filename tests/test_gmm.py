@@ -87,23 +87,6 @@ def test_anisotropic_covariance_shapes_the_boundary(rng):
     assert model.predict(np.array([[2.2, 0.0]]))[0] == 0
 
 
-def test_confidence_weights_floor_and_range(rng):
-    X, y = three_blobs(rng, n=100, spread=1.2)
-    model = GmmClassifier.fit(X, y)
-    w = model.confidence_weights(X, y, floor=0.25)
-    assert np.all(w >= 0.25)
-    assert np.all(w <= 1.0)
-    w0 = model.confidence_weights(X, y, floor=0.0)
-    assert np.any(w0 < 0.25)
-
-
-def test_confidence_weights_high_for_clean_separation(rng):
-    X, y = three_blobs(rng, n=100, spread=0.2)
-    model = GmmClassifier.fit(X, y)
-    w = model.confidence_weights(X, y)
-    assert np.mean(w) > 0.99
-
-
 def test_flat_roundtrip(rng):
     X, y = three_blobs(rng)
     model = GmmClassifier.fit(X, y)

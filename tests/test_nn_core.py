@@ -365,16 +365,6 @@ def test_training_is_deterministic(rng):
     assert np.array_equal(np.concatenate(batches), np.concatenate([X, X]))
 
 
-def test_training_weights_shift_decisions(rng):
-    # a heavily weighted minority class must dominate the fit
-    X = np.concatenate([rng.normal(-0.2, 0.05, (30, 1)), rng.normal(0.2, 0.05, (5, 1))])
-    y = np.array([0] * 30 + [1] * 5)
-    w = np.array([1.0] * 30 + [50.0] * 5)
-    model = DenseNetwork(1, (4,), 2, seed=2)
-    train(model, X, y, weights=w, config=TrainConfig(epochs=60, batch_size=8, learning_rate=1e-2))
-    assert np.all(model.predict(np.array([[0.15], [0.3]])) == 1)
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_raises_with_batch_index(rng):
     X = rng.normal(size=(12, 3)) * 1e150

@@ -6,7 +6,6 @@ import pytest
 from readoutkit import (
     ConfigurationError,
     batch_signature,
-    path_transform,
     signature_length,
     trajectory_signature,
 )
@@ -84,43 +83,6 @@ def _level_bound(points, k):
     length = np.abs(np.diff(pts, axis=0)).sum()
     eps = np.finfo(float).eps
     return k * (len(pts) - 1) * eps * length**k / math.factorial(k)
-
-
-def test_path_transform_uniform_weights_example():
-    out = path_transform(np.array([0.0, 1.0, 3.0]))
-    assert np.array_equal(out, [0.0, 1.0, 3.0])
-
-
-def test_path_transform_weighted_example():
-    out = path_transform(np.array([0.0, 1.0, 3.0]), np.array([1.0, 2.0, 2.0]))
-    assert np.array_equal(out, [0.0, 2.0, 6.0])
-
-
-def test_path_transform_uniform_equals_offset_removal(rng):
-    for _ in range(25):
-        x = rng.normal(size=int(rng.integers(2, 40)))
-        assert np.allclose(path_transform(x), x - x[0], atol=1e-12)
-
-
-def test_path_transform_first_output_always_zero(rng):
-    for _ in range(25):
-        n = int(rng.integers(1, 30))
-        x = rng.normal(size=n)
-        w = rng.uniform(0.1, 2.0, size=n)
-        assert path_transform(x, w)[0] == 0.0
-
-
-def test_path_transform_batch_rows(rng):
-    x = rng.normal(size=(4, 9))
-    w = rng.uniform(0.5, 1.5, size=9)
-    out = path_transform(x, w)
-    for k in range(4):
-        assert np.allclose(out[k], path_transform(x[k], w), atol=1e-15)
-
-
-def test_path_transform_rejects_mismatched_weights():
-    with pytest.raises(ConfigurationError):
-        path_transform(np.zeros(4), np.zeros(3))
 
 
 def test_signature_length_values():

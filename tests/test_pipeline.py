@@ -83,8 +83,8 @@ def test_normalize_does_not_mutate_input():
         ([{"op": "bandpass", "center": 0.1}, demod_stage()], {"kind": "lstm"}),
         # bad bin size
         ([demod_stage(), {"op": "bin", "size": 0}], {"kind": "lstm"}),
-        # path transform before demodulate
-        ([{"op": "path_transform"}, demod_stage()], {"kind": "lstm"}),
+        # integrate before demodulate
+        ([{"op": "integrate"}, demod_stage()], {"kind": "gmm"}),
         # sizes past their caps: a layer width over 1024, a signature order over 8
         ([demod_stage()], {"kind": "lstm", "hidden": [1025]}),
         ([demod_stage()], {"kind": "dense", "hidden": [8, 1025]}),
@@ -142,15 +142,6 @@ def test_descriptor_rejects_bad_weighting_and_model():
                 "weighting": {"kind": "magic"},
             }
         )
-    with pytest.raises(ConfigurationError):
-        # confidence weighting is meaningless for the closed-form baseline
-        normalize_descriptor(
-            {
-                "stages": [demod_stage(), {"op": "integrate"}],
-                "model": {"kind": "gmm"},
-                "weighting": {"kind": "gmm_confidence"},
-            }
-        )
 
 
 def test_apply_stages_demod_then_integrate_matches_manual(quiet_dataset):
@@ -182,7 +173,7 @@ def test_preprocess_batch_matches_per_shot(quiet_dataset):
 
 def test_preprocess_batch_chunking_invariant(quiet_dataset):
     shots = quiet_dataset.shots[:10]
-    stages = [demod_stage(), {"op": "path_transform"}]
+    stages = [demod_stage(), {"op": "bin", "size": 10}]
     parts = [preprocess_batch(shots[s : s + 2], stages) for s in range(0, len(shots), 2)]
     whole = preprocess_batch(shots, stages)
     assert np.array_equal(np.concatenate(parts), whole)
@@ -255,14 +246,6 @@ def test_train_dense_signature_pipeline(quiet_dataset):
     desc["train"] = {"epochs": 3, "seed": 0}
     fitted = train_pipeline(quiet_dataset, desc)
     assert fitted.model.input_dim == 63
-
-
-def test_confidence_weighting_trains(quiet_dataset):
-    desc = standard_pipelines(bin_size=40)["lstm"]
-    desc["train"] = {"epochs": 2, "seed": 0}
-    desc["weighting"] = {"kind": "gmm_confidence", "floor": 0.2}
-    fitted = train_pipeline(quiet_dataset, desc)
-    assert fitted.predict(quiet_dataset.shots[:3]).shape == (3,)
 
 
 def test_pipeline_save_load_roundtrip(tmp_path, quiet_dataset):
@@ -453,15 +436,3 @@ def test_train_pipeline_rejects_shots_without_samples(quiet_dataset, name):
         preprocess_batch(shots, desc["stages"])
     with pytest.raises(DataError, match="no samples"):
         integrated_points(shots, frequency=0.1)
-
-
-def test_path_transform_stage_changes_features(quiet_dataset):
-    shots = quiet_dataset.shots[:4]
-    plain = [demod_stage(), {"op": "bin", "size": 10}]
-    with_pt = plain + [{"op": "path_transform"}]
-    a = preprocess_batch(shots, plain)
-    b = preprocess_batch(shots, with_pt)
-    assert a.shape == b.shape
-    assert not np.allclose(a, b)
-    # the transform with uniform weights subtracts the first column
-    assert np.allclose(b, a - a[:, :1, :], atol=1e-12)
